@@ -112,9 +112,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
     def extract_corpus_split(sf_dir: str):
-        """Same flagship extraction through the giant-doc split/reassembly
-        path (span-boundary fragments -> parallel extract -> ordered merge);
-        output must equal extract_corpus (pinned by tests)."""
+        """Same flagship extraction called with ``split_giant_docs=True``,
+        which no longer changes the plan; output must equal extract_corpus
+        (pinned by tests)."""
         import ray.data
 
         from html_parser_ray.pipelines.extraction import build_extraction_pipeline
@@ -123,8 +123,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         n = 200 if "0.01" in sf_dir else 50
         ds = ray.data.from_arrow(generate_documents(n, seed=42)).repartition(8)
         out = build_extraction_pipeline(
-            ds, batch_size=32, split_giant_docs=True,
-            split_max_bytes=4000, split_max_spans=4,
+            ds, batch_size=32, split_giant_docs=True
         )
         return out.map_batches(flatten, batch_format="pyarrow").sort(
             ["doc_id", "offset"]

@@ -1,7 +1,7 @@
 """Flagship pipeline example: interleaved corpus -> ordered span table.
 
 Dataset-level composition end to end (read -> actor-pool extract -> write),
-including the giant-document split/reassembly variant. Run:
+including a corpus with giant documents. Run:
 
     python examples/extraction_pipeline.py
 """
@@ -31,17 +31,13 @@ def run(smoke: bool = False) -> None:
         back = ray.data.read_parquet(d)
         assert back.count() == n
 
-    # giant-doc path: span-boundary fragments -> parallel extract ->
-    # ordered groupby(doc_id) reassembly (the only shuffle, output-sized)
+    # giant documents take the same streaming path: extraction is per span
     ds2 = ray.data.from_arrow(
         generate_documents(n, seed=42, giant_doc_every=10, giant_doc_html_bytes=50_000)
     )
-    split = build_extraction_pipeline(
-        ds2, batch_size=16, concurrency=2,
-        split_giant_docs=True, split_max_bytes=8_000, split_max_spans=8,
-    )
-    assert split.count() == n
-    print(f"extracted {n} docs through both paths")
+    giant = build_extraction_pipeline(ds2, batch_size=16, concurrency=2)
+    assert giant.count() == n
+    print(f"extracted {n} docs, with and without giant documents")
 
 
 if __name__ == "__main__":

@@ -40,7 +40,8 @@ def main(argv: list[str] | None = None) -> int:
     p_extract.add_argument("--num-partitions", type=int, default=64)
     p_extract.add_argument("--wave-size", type=int, default=16)
     p_extract.add_argument("--batch-size", type=int, default=64)
-    p_extract.add_argument("--split-giant-docs", action="store_true")
+    p_extract.add_argument("--split-giant-docs", action="store_true",
+                           help="accepted for compatibility; no longer changes the plan")
     p_extract.add_argument("--no-resume", action="store_true",
                            help="ignore existing manifest (reprocess everything)")
 

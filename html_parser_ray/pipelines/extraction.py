@@ -3,27 +3,27 @@
 Dataset-level composition (no raw Ray tasks anywhere):
 
     read (parquet/lance)                      # streaming blocks
-      -> [optional] flat_map-style split       # span-boundary fragments
       -> map_batches(ExtractSpansBatch, ...)   # actor pool, zero-copy Arrow
-      -> [optional] groupby(doc_id) reassemble # only shuffle, output-sized
       -> write_parquet / caller consumption
 
-Default path has ZERO shuffles: one streaming actor-pool transform. The split
-path trades one hash shuffle of the (much smaller) extracted output for
-straggler-free handling of multi-MB documents; choose it when the corpus has a
-pathological giant-document tail.
+One streaming actor-pool transform with zero shuffles, for every corpus.
+Giant documents take the same path: extraction is per span, so a multi-MB
+document is one long row in its batch, not a reason for an exchange.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-import pyarrow as pa
-
 import ray.data
 
-from html_parser_ray.stages.extract_stage import ExtractFragmentsBatch, ExtractSpansBatch
-from html_parser_ray.stages.split import reassemble_group, split_batch
+from html_parser_ray.stages.extract_stage import ExtractSpansBatch
+
+# Not used by the pipeline. Kept importable from here only for the
+# benchmark's tracing shims (perfbench/trace.py), which read and patch these
+# names on this module.
+from html_parser_ray.stages.extract_stage import ExtractFragmentsBatch  # noqa: F401
+from html_parser_ray.stages.split import reassemble_group, split_batch  # noqa: F401
 
 
 def _default_concurrency() -> int:
@@ -62,8 +62,6 @@ def build_extraction_pipeline(
     ds: "ray.data.Dataset",
     *,
     split_giant_docs: bool = False,
-    split_max_bytes: int = 1_000_000,
-    split_max_spans: int = 64,
     concurrency: int | tuple[int, int] | None = None,
     # 256 = the r4 probe-calibrated throughput peak (BENCH/BASELINE.md §7:
     # 150-155k calibrated docs/s vs 116k at 512, 96-118k at 64-192)
@@ -77,15 +75,11 @@ def build_extraction_pipeline(
     # branch on; ignored when layout_pdf_decode=False.
     shared_layout_cache: int = 0,
 ) -> "ray.data.Dataset":
-    """Compose the extraction pipeline over an input Dataset.
+    """Compose the extraction pipeline over an input Dataset: one lazy,
+    streaming ``map_batches`` over the extract actor pool.
 
-    The default path is fully lazy (streaming). The split path executes the
-    read+split+extract eagerly ONCE (``materialize()``) and pins the
-    output-sized extracted table in the object store, so its two consumers
-    (single-fragment passthrough, multi-fragment reassembly) don't each
-    re-execute the extraction; the store spills if the output exceeds
-    memory. ``emit_metrics`` is not supported on the split path (the column
-    would be lost in reassembly) — it warns and drops the flag.
+    ``split_giant_docs`` is accepted for existing callers and does not
+    change the plan: giant documents extract in place, like any other.
     """
     kwargs = dict(extractor_kwargs or {})
     kwargs["emit_metrics"] = emit_metrics
@@ -100,70 +94,13 @@ def build_extraction_pipeline(
             model_name=kwargs.get("layout_model", "layout-stub-v0"),
         )
 
-    if not split_giant_docs:
-        return ds.map_batches(
-            ExtractSpansBatch,
-            fn_constructor_kwargs=kwargs,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
-
-    if emit_metrics:
-        import warnings
-
-        warnings.warn(
-            "emit_metrics is not supported with split_giant_docs "
-            "(the metrics column would be lost in reassembly); dropping it",
-            stacklevel=2,
-        )
-    kwargs["emit_metrics"] = False
-    frags = ds.map_batches(
-        split_batch,
-        fn_kwargs={"max_bytes": split_max_bytes, "max_spans": split_max_spans},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-    extracted = frags.map_batches(
-        ExtractFragmentsBatch,
+    return ds.map_batches(
+        ExtractSpansBatch,
         fn_constructor_kwargs=kwargs,
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
-    ).materialize()
-    # Only multi-fragment docs need the reassembly shuffle; single-fragment
-    # rows (the overwhelming majority) pass straight through. materialize()
-    # pins the extracted output once so the two consumers below don't
-    # re-execute the extraction — output-sized, the same data the groupby
-    # would otherwise shuffle in full.
-    import pyarrow.compute as pc
-
-    def singles_only(batch):
-        out = batch.filter(pc.equal(batch.column("n_frags"), 1))
-        return out.drop_columns(["frag_seq", "n_frags"])
-
-    def multis_only(batch):
-        return batch.filter(pc.greater(batch.column("n_frags"), 1))
-
-    from html_parser_ray.stages.extract_stage import OUT_SCHEMA
-
-    def normalize(batch: pa.Table) -> pa.Table:
-        # map_groups emits 0-row 0-COLUMN blocks for group-less input
-        # blocks (most multis blocks are empty — multi-frag docs are rare);
-        # rewrite them to the typed empty so downstream join/union/to_pandas
-        # consumers never see a schema-less block
-        if batch.num_columns == 0:
-            return OUT_SCHEMA.empty_table()
-        return batch.select(OUT_SCHEMA.names).cast(OUT_SCHEMA)
-
-    singles = extracted.map_batches(singles_only, batch_format="pyarrow")
-    multis = (
-        extracted.map_batches(multis_only, batch_format="pyarrow")
-        .groupby("doc_id")
-        .map_groups(reassemble_group, batch_format="pyarrow")
-        .map_batches(normalize, batch_format="pyarrow")
     )
-    return singles.union(multis)
 
 
 def run_extraction(

@@ -52,12 +52,16 @@ def _same_key_lag(
     the rows whose PREVIOUS sorted row shares every key column — i.e. each
     returned row ``i`` forms a valid same-key (prev=i-1, cur=i) lag pair.
     Used by events_user_lag, events_type_transitions and
-    events_interarrival_stats (one fix applies to all three)."""
+    events_interarrival_stats (one fix applies to all three). NULL keys
+    pair with each other, as SQL ``PARTITION BY`` groups them (the sort
+    puts them together, last)."""
     g = g.sort_values(key_cols + order_cols)
     same = np.zeros(len(g), dtype=bool)
     if len(g) > 1:
         keys = [g[c].to_numpy() for c in key_cols]
-        same[1:] = np.logical_and.reduce([a[1:] == a[:-1] for a in keys])
+        same[1:] = np.logical_and.reduce(
+            [(a[1:] == a[:-1]) | (pd.isna(a[1:]) & pd.isna(a[:-1])) for a in keys]
+        )
     return g, np.nonzero(same)[0]
 
 

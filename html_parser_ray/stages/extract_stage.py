@@ -454,7 +454,10 @@ class ExtractSpansBatch:
 
 class ExtractFragmentsBatch(ExtractSpansBatch):
     """Same extraction over split fragments: passes the fragment bookkeeping
-    columns (``frag_seq``, ``n_frags``) through for ordered reassembly."""
+    columns (``frag_seq``, ``n_frags``) through for ordered reassembly.
+
+    Off the pipeline path (giant documents extract in place); kept only for
+    the benchmark's tracing shims, which import it."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:  # type: ignore[override]
         out = super().__call__(

@@ -1,17 +1,15 @@
 """Size-aware giant-document splitting and ordered reassembly.
 
-HTML cannot be split blindly mid-tag, but the interleaved input model already
-provides safe split points: each input span is a self-contained unit (one HTML
-payload, one text run, one media ref). A giant document therefore splits at
-*span boundaries* into fragments that extract independently, and reassembly is
-a ``groupby(doc_id).map_groups`` ordered merge on ``frag_seq`` — the only
-shuffle in the extraction pipeline, and it moves *extracted* spans (output
-text, much smaller than the input HTML).
+Off the pipeline path: ``build_extraction_pipeline`` extracts giant
+documents in place (extraction is per span, so splitting only renumbered
+offsets, and both plans give identical output). The module is kept only for
+the benchmark's tracing shims, which import ``split_batch`` and
+``reassemble_group``, and for the unit tests that pin them.
 
-Partitioning assumption (documented per SURVEY §2 custom-operator rule):
-reassembly requires all fragments of a doc_id in one group — guaranteed by the
-hash shuffle on doc_id; fragment order is restored by frag_seq, not by any
-cross-partition ordering.
+``split_batch`` cuts a document at *span boundaries* (each input span is a
+self-contained unit: one HTML payload, one text run, one media ref) into
+fragments that extract independently; ``reassemble_group`` merges one
+doc_id's extracted fragments in ``frag_seq`` order.
 """
 
 from __future__ import annotations

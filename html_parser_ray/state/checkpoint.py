@@ -2,23 +2,26 @@
 
 Layout under ``output_root``:
 
-    part=<k>/...parquet        one directory per deterministic partition
+    _part=<k>/...parquet       one directory per deterministic partition
                                (written by workers via write_parquet)
     _manifest/part-<k>.json    lineage record committed AFTER the partition's
                                data lands (write-then-commit ordering)
 
 Partition id = stable md5 hash of ``doc_id`` mod ``num_partitions`` (never
-Python's seeded ``hash``). Work proceeds in *waves* of partitions: each wave
-filters the input to its partitions (at 100 TB this filter is a predicate
-pushdown on a precomputed partition column in Lance; here a cheap vectorized
-``map_batches`` filter), extracts, writes partitioned parquet from the
-workers (no driver materialization), then commits one manifest record per
-finished partition. A crash loses at most the current wave; a resumed run
-skips every committed partition.
+Python's seeded ``hash``). Work proceeds in *waves* of partitions. Each wave
+is one streaming Ray Data execution: read -> filter to the wave's partitions
+(at 100 TB this filter is a predicate pushdown on a precomputed partition
+column in Lance; here a cheap ``map_batches`` filter) -> extract ->
+partitioned ``write_parquet`` from the workers (no driver materialization).
+The driver then commits one manifest record per finished partition, with
+row and span counts read from the written files' parquet footers and span
+lists by pyarrow, so a commit starts no Ray job. A crash loses at most the
+current wave; a resumed run skips every committed partition.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -27,6 +30,7 @@ import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 ENGINE_VERSION = "html_parser_ray-0.1.0"
 
@@ -92,8 +96,6 @@ def run_resumable_extraction(
     **pipeline_kwargs,
 ) -> dict:
     """Wave-checkpointed extraction; safe to re-run after a crash."""
-    import ray.data
-
     from html_parser_ray.pipelines.extraction import (
         build_extraction_pipeline,
         read_corpus,
@@ -134,49 +136,30 @@ def run_resumable_extraction(
 
         def keep_wave(batch: pa.Table) -> pa.Table:
             tagged = add_partition_column(batch, num_partitions)
-            return tagged.filter(pc.is_in(tagged.column("_part"), wave_arr))
-
-        ds = read_corpus(input_path, file_format=file_format).map_batches(
-            keep_wave, batch_format="pyarrow"
-        )
-        extracted = build_extraction_pipeline(
-            ds.drop_columns(["_part"]), **pipeline_kwargs
-        )
+            keep = pc.is_in(tagged.column("_part"), wave_arr)
+            return tagged.filter(keep).drop_columns(["_part"])
 
         def retag(batch: pa.Table) -> pa.Table:
             return add_partition_column(batch, num_partitions)
 
-        tagged_out = extracted.map_batches(retag, batch_format="pyarrow")
-        # workers write partitioned parquet directly (no driver buffering)
-        tagged_out.write_parquet(output_root, partition_cols=["_part"])
+        # one streaming execution per wave; workers write partitioned
+        # parquet directly (no driver buffering)
+        out = build_extraction_pipeline(
+            read_corpus(input_path, file_format=file_format).map_batches(
+                keep_wave, batch_format="pyarrow"
+            ),
+            **pipeline_kwargs,
+        ).map_batches(retag, batch_format="pyarrow")
+        out.write_parquet(output_root, partition_cols=["_part"])
+        # a finished actor pool stays in a reference cycle until GC and
+        # keeps holding its CPUs, so the next wave's pool would wait for
+        # them: drop the wave's Dataset and collect now
+        del out
+        gc.collect()
 
         wall = round(time.perf_counter() - t0, 3)
-        # commit manifests from the written files' own metadata: row counts
-        # come FREE from the parquet footers (no data pages decoded), and
-        # the span count reads back only the spans_out column — the r5
-        # review flagged the previous full-table re-read as doubling the
-        # write path's I/O per wave
-        import pyarrow.parquet as _pq
-
         for p in wave:
-            pdir = os.path.join(output_root, f"_part={p}")
-            rows = 0
-            spans = 0
-            if os.path.isdir(pdir):
-                for fname in os.listdir(pdir):
-                    if not fname.endswith(".parquet"):
-                        continue
-                    rows += _pq.ParquetFile(
-                        os.path.join(pdir, fname)
-                    ).metadata.num_rows
-                out_ds = ray.data.read_parquet(pdir, columns=["spans_out"])
-                for batch in out_ds.iter_batches(
-                    batch_format="pyarrow", batch_size=4096
-                ):
-                    spans += int(
-                        pc.sum(pc.list_value_length(batch.column("spans_out"))).as_py()
-                        or 0
-                    )
+            rows, spans = _written_counts(os.path.join(output_root, f"_part={p}"))
             _commit_manifest(
                 output_root,
                 p,
@@ -198,22 +181,43 @@ def run_resumable_extraction(
     }
 
 
+# the one int32 leaf of ``spans_out`` (standard parquet list naming): its
+# list lengths are the span counts, without reading any span text
+_SPAN_LEAF = "spans_out.list.element.offset"
+
+
+def _written_counts(part_dir: str) -> "tuple[int, int]":
+    """(rows, spans) of one written partition, read in the driver with
+    pyarrow: rows from the parquet footers, spans from the ``spans_out``
+    list lengths. Starts no Ray job."""
+    rows = spans = 0
+    if os.path.isdir(part_dir):
+        for name in os.listdir(part_dir):
+            if name.endswith(".parquet"):
+                f = pq.ParquetFile(os.path.join(part_dir, name))
+                rows += f.metadata.num_rows
+                lengths = pc.list_value_length(f.read(columns=[_SPAN_LEAF]).column(0))
+                spans += int(pc.sum(lengths).as_py() or 0)
+    return rows, spans
+
+
 def read_extraction_output(output_root: str):
-    """Read back all committed partitions as one Dataset."""
+    """Read back all committed partitions as one Dataset (one read over
+    their files; no ``_part`` column)."""
     import ray.data
 
-    done = completed_partitions(output_root)
-    datasets = [
-        ray.data.read_parquet(os.path.join(output_root, f"_part={p}"))
-        for p in sorted(done)
-        if os.path.isdir(os.path.join(output_root, f"_part={p}"))
-    ]
-    if not datasets:
+    files = []
+    for p in sorted(completed_partitions(output_root)):
+        pdir = os.path.join(output_root, f"_part={p}")
+        if os.path.isdir(pdir):
+            files += [
+                os.path.join(pdir, name)
+                for name in sorted(os.listdir(pdir))
+                if name.endswith(".parquet")
+            ]
+    if not files:
         raise FileNotFoundError(f"no committed partitions under {output_root}")
-    ds = datasets[0]
-    for other in datasets[1:]:
-        ds = ds.union(other)
-    return ds
+    return ray.data.read_parquet(files, partitioning=None)
 
 
 def manifest_records(output_root: str) -> list[dict]:

@@ -96,7 +96,7 @@ def test_ray_pipeline_split_path_parity(tmp_path):
     direct = build_extraction_pipeline(ds, batch_size=4).take_all()
     ds2 = ray.data.from_arrow(t)
     split = build_extraction_pipeline(
-        ds2, split_giant_docs=True, split_max_bytes=8_000, split_max_spans=16, batch_size=4
+        ds2, split_giant_docs=True, batch_size=4
     ).take_all()
     d1 = {r["doc_id"]: r["spans_out"] for r in direct}
     d2 = {r["doc_id"]: r["spans_out"] for r in split}

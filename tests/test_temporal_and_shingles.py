@@ -329,3 +329,35 @@ def test_events_funnel_counts(events_dir):
     ).set_index("step")
     assert tight.loc["view", "n_users"] == 1
     assert tight.loc["click", "n_users"] == 0
+
+
+def test_same_key_lag_pairs_null_keys_like_partition_by():
+    """NULL keys form one partition, as in SQL ``PARTITION BY``: the lag
+    pairs must equal DuckDB's ``LAG ... OVER (PARTITION BY ...)``."""
+    import duckdb
+
+    from html_parser_ray.pipelines.temporal import _same_key_lag
+
+    frame = pd.DataFrame(
+        {
+            "event_id": np.arange(10),
+            "user_id": [1.0, np.nan, 1.0, np.nan, 2.0, np.nan, 1.0, np.nan, np.nan, 2.0],
+            "event_type": ["a", None, "a", "b", None, None, "b", None, "a", None],
+            "ts": [5, 3, 1, 4, 2, 9, 7, 1, 6, 8],
+        }
+    )
+    for keys in (["user_id"], ["user_id", "event_type"]):
+        g, idx = _same_key_lag(frame, keys, ["ts", "event_id"])
+        ids = g["event_id"].to_numpy()
+        got = sorted(zip(ids[idx - 1].tolist(), ids[idx].tolist()))
+        part = ", ".join(keys)
+        want = sorted(
+            duckdb.sql(
+                f"SELECT prev, event_id FROM (SELECT event_id, LAG(event_id) "
+                f"OVER (PARTITION BY {part} ORDER BY ts, event_id) AS prev "
+                f"FROM frame) WHERE prev IS NOT NULL"
+            ).fetchall()
+        )
+        assert got == want, keys
+        # NULL-keyed rows really pair (the case the fix is about)
+        assert any(np.isnan(frame.loc[b, "user_id"]) for _, b in got)

@@ -21,7 +21,7 @@ sf-dependent).
 
 Full sweeps additionally run three seed-randomized ENGINE INVARIANTS over
 a per-seed random corpus (independent of the sf_dir tables):
-``corpus_split_parity`` (giant-doc split/reassembly == direct pipeline),
+``corpus_split_parity`` (``split_giant_docs=True`` == default call),
 ``checkpoint_resume_parity`` (crash-resume with a random lost-manifest
 subset == direct pipeline, value-exact), and ``metrics_mode_parity``
 (per-doc path under ``emit_metrics=True`` == batched-native path, plus
@@ -135,14 +135,12 @@ def _sorted_events_twin(sf_dir: str) -> str:
 
 
 def check_split_parity(seed: int) -> str | None:
-    """The giant-doc split/reassembly path's contract is an ENGINE
-    INVARIANT: split output equals non-split output span-for-span. The
-    committed test pins it at ONE corpus shape (seed 42, 12 docs,
-    tests/test_pipeline_ray.py); here the same invariant runs per
-    differential seed over a RANDOMIZED corpus — doc count, giant-doc
-    cadence/size/span-count, split thresholds and batch size all drawn
-    from the seed — so the fragment-boundary bookkeeping and the
-    reassembly shuffle face shapes the fixed test never exercises."""
+    """``split_giant_docs=True`` ENGINE INVARIANT: its output equals the
+    default call's span-for-span. The committed test pins it at ONE corpus
+    shape (seed 42, 12 docs, tests/test_pipeline_ray.py); here the same
+    invariant runs per differential seed over a RANDOMIZED corpus — doc
+    count, giant-doc cadence/size/span-count and batch size all drawn from
+    the seed."""
     import numpy as np
     import ray.data
 
@@ -165,8 +163,6 @@ def check_split_parity(seed: int) -> str | None:
     split = build_extraction_pipeline(
         ray.data.from_arrow(t),
         split_giant_docs=True,
-        split_max_bytes=int(rng.choice([4_000, 8_000, 25_000])),
-        split_max_spans=int(rng.choice([4, 16, 48])),
         batch_size=bs,
     ).take_all()
     d1 = {r["doc_id"]: r["spans_out"] for r in direct}
