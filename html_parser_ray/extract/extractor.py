@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import json
 
 from html_parser_ray.extract.boilerplate import ExtractConfig, extract_text_blocks
-from html_parser_ray.extract.fused import extract_blocks_fused
 from html_parser_ray.extract.layout import LayoutParser
 from html_parser_ray.html.document import parse_html
 from html_parser_ray.html.text import normalize_bytes
@@ -34,8 +33,10 @@ class ExtractStats:
     spans_out: int = 0
     html_bytes: int = 0
     parse_errors: int = 0
-    # batches where the native batched path raised and the stage degraded to
-    # the Python path — a perf cliff that must stay observable, not silent
+    # batches the native kernel declined (extracted on the DOM path instead)
+    # or that were split in half because their output overflowed Arrow's
+    # int32 offsets, plus layout shard-cache failures: each is a slower path
+    # than the one chosen, so each is counted
     native_fallbacks: int = 0
 
 
@@ -58,14 +59,16 @@ class SpanExtractor:
             layout_model, pdf_decode=layout_pdf_decode, memo=layout_memo
         )
         self.drop_whitespace_text = drop_whitespace_text
-        # fused single-pass tokenize+strip (~1.35x) — byte-identical to the
-        # DOM path (tests/test_fused_parity.py); DOM path kept as the oracle
-        self.use_fused = use_fused
-        # native C fast path (another ~5x per core): only for the DEFAULT
-        # config; byte-parity pinned by tests/test_native_parity.py; any
-        # unavailability (no compiler) silently keeps the Python fused path
+        # ``use_fused``: the native kernel if available. It takes the two
+        # scalar thresholds; other drop_tags or class markers, a missing
+        # compiler and ``use_fused=False`` all run the DOM oracle path
+        # (byte parity pinned by tests/test_native_parity.py)
         self._native = None
-        if use_fused and self.config == ExtractConfig():
+        cfg = self.config
+        scalars_only = cfg == ExtractConfig(
+            max_link_density=cfg.max_link_density, min_text_len=cfg.min_text_len
+        )
+        if use_fused and scalars_only:
             from html_parser_ray.native import get_native_extractor
 
             self._native = get_native_extractor()
@@ -101,15 +104,15 @@ class SpanExtractor:
                 try:
                     blocks = None
                     if self._native is not None:
-                        blocks = self._native(raw, self.drop_whitespace_text)
+                        blocks = self._native(
+                            raw,
+                            self.drop_whitespace_text,
+                            self.config.max_link_density,
+                            self.config.min_text_len,
+                        )
                     if blocks is None:
-                        if self.use_fused:
-                            blocks = extract_blocks_fused(
-                                raw, self.config, self.drop_whitespace_text
-                            )
-                        else:
-                            doc = parse_html(raw, self.drop_whitespace_text)
-                            blocks = extract_text_blocks(doc, self.config)
+                        doc = parse_html(raw, self.drop_whitespace_text)
+                        blocks = extract_text_blocks(doc, self.config)
                 except Exception:
                     st.parse_errors += 1
                     blocks = []

@@ -1,19 +1,21 @@
-"""Optional native (C) fast path for the fused extractor.
+"""Optional native (C) kernels: HTML text-block extraction and PDF summary.
 
-``get_native_extractor()`` returns a callable with the same signature as
-``extract_blocks_fused(source, cfg=None, drop_whitespace_text=False) ->
-list[bytes]`` — or None when unavailable. The shared library compiles on
+``get_native_extractor()`` returns ``extract_blocks_native(source,
+drop_whitespace_text=False, max_link_density=0.5, min_text_len=1) ->
+list[bytes] | None`` and ``get_native_batch_extractor()`` the one-call-per-
+batch twin; both are None when unavailable. The shared library compiles on
 first use from the in-repo C source with the system compiler (cached under
 the per-user ``~/.cache/hpr_native`` keyed by a source hash, ownership-
 checked before loading); ANY failure — no compiler, compile error, load
-error — silently yields None and the pure-Python fused path runs instead,
-so the engine never depends on a toolchain. Set ``GRAFT_DISABLE_NATIVE=1``
-to force the Python path.
+error — yields None and extraction runs on the DOM oracle path
+(``parse_html`` + ``extract_text_blocks``), so the engine never depends on
+a toolchain. Set ``GRAFT_DISABLE_NATIVE=1`` to force the DOM path.
 
-The native path only handles the DEFAULT ExtractConfig (the production
-configuration); wrappers route non-default configs to Python. Byte-parity
-with the Python fused path (and therefore the DOM oracle path) is pinned by
-tests/test_native_parity.py over the same corpora/fuzz as the fused tests.
+The HTML kernel uses the default ExtractConfig's tag tables and class/id
+markers and takes the two scalar thresholds as arguments; configs with other
+``drop_tags`` or class markers run on the DOM path. Byte-parity with the DOM
+oracle is pinned by tests/test_native_parity.py, tests/test_fused_parity.py,
+tests/test_tag_table_parity.py and tests/test_extraction_hypothesis.py.
 """
 
 from __future__ import annotations
@@ -135,6 +137,8 @@ def _build_lib():
         ctypes.POINTER(ctypes.c_int64),
         ctypes.c_int64,
         ctypes.POINTER(ctypes.c_int64),
+        ctypes.c_double,  # max_link_density
+        ctypes.c_double,  # min_text_len
     ]
     bfn = lib.hpr_extract_blocks_batch
     bfn.restype = ctypes.c_int64
@@ -149,6 +153,8 @@ def _build_lib():
         ctypes.c_int64,   # lens_cap
         ctypes.c_void_p,  # doc_nblocks (int64*)
         ctypes.POINTER(ctypes.c_int64),
+        ctypes.c_double,  # max_link_density
+        ctypes.c_double,  # min_text_len
     ]
     return fn, bfn
 
@@ -159,10 +165,14 @@ def _make_wrapper(fn):
     local = threading.local()
 
     def extract_blocks_native(
-        source: bytes, drop_whitespace_text: bool = False
+        source: bytes,
+        drop_whitespace_text: bool = False,
+        max_link_density: float = 0.5,
+        min_text_len: int = 1,
     ) -> "list[bytes] | None":
-        """Blocks for ``source`` under the DEFAULT config, or None if the
-        native call reports a capacity/internal error (caller falls back).
+        """Blocks for ``source`` under the default tag tables and the given
+        thresholds, or None if the native call reports a capacity/internal
+        error (the caller extracts on the DOM path).
 
         Scratch buffers are thread-local and grow-only: per-call allocation
         dominated small-document throughput otherwise (~25us -> ~4us/call)."""
@@ -190,6 +200,8 @@ def _make_wrapper(fn):
             lens,
             local.lens_cap,
             ctypes.byref(n_blocks),
+            max_link_density,
+            min_text_len,
         )
         if rc != 0:
             return None
@@ -211,14 +223,17 @@ def _make_batch_wrapper(bfn):
     c_int64 = ctypes.c_int64
     local = threading.local()
 
-    def extract_blocks_batched(values_addr, offsets_np, total_bytes, drop_ws):
+    def extract_blocks_batched(
+        values_addr, offsets_np, total_bytes, drop_ws,
+        max_link_density=0.5, min_text_len=1,
+    ):
         """One C call for a whole batch of documents.
 
         ``values_addr``: address of the contiguous UTF-8 values buffer (the
         Arrow binary-array data buffer); ``offsets_np``: int64 numpy array of
         n_docs+1 absolute offsets into it. Returns
         (out_memoryview, block_lens_np, doc_nblocks_np) or None on error
-        (caller falls back to per-doc Python)."""
+        (the caller extracts the batch on the DOM path)."""
         n_docs = len(offsets_np) - 1
         out_cap = int(total_bytes) + 16
         if getattr(local, "out_cap", 0) < out_cap:
@@ -246,6 +261,8 @@ def _make_batch_wrapper(bfn):
             local.lens_cap,
             docs.ctypes.data,
             ctypes.byref(n_total),
+            max_link_density,
+            min_text_len,
         )
         if rc != 0:
             return None

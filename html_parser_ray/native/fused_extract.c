@@ -1,21 +1,25 @@
-/* Native fast path for the fused single-pass extractor.
+/* Native kernel for HTML text-block extraction.
  *
- * Byte-for-byte port of html_parser_ray/extract/fused.py (which is itself
- * pinned byte-identical to the DOM parse+walk path): permissive HTML
- * tokenization with the open-element name stack, drop/block/link watermarks,
- * per-owner segment collection, and the entity-decode + whitespace-normalize
- * emission tail. Configuration is FIXED to the engine's default
- * ExtractConfig; the Python wrapper routes non-default configs to the
- * Python fused path.
+ * Byte-for-byte equal to the DOM oracle (parse_html + extract_text_blocks,
+ * html_parser_ray/extract/boilerplate.py) in a single pass without a DOM:
+ * permissive HTML tokenization with the open-element name stack,
+ * drop/block/link watermarks, per-owner segment collection, and the
+ * entity-decode + whitespace-normalize emission tail. The tag tables and the
+ * class/id boilerplate markers are the default ExtractConfig's; the two
+ * scalar thresholds (max_link_density, min_text_len) are arguments. Configs
+ * with other drop_tags or class markers run on the DOM path instead.
  *
  * ABI (ctypes):
  *   int64_t hpr_extract_blocks(const uint8_t* src, int64_t n,
  *                              int drop_whitespace_text,
  *                              uint8_t* out, int64_t out_cap,
  *                              int64_t* block_lens, int64_t lens_cap,
- *                              int64_t* n_blocks);
- *   returns 0 on success; <0 on capacity/internal errors (caller falls back
- *   to the Python path).
+ *                              int64_t* n_blocks,
+ *                              double max_link_density, double min_text_len);
+ *   int64_t hpr_extract_blocks_batch(...same outputs per document batch...,
+ *                              double max_link_density, double min_text_len);
+ *   return 0 on success; <0 on capacity/internal errors (the caller extracts
+ *   the input on the DOM path instead).
  *
  * Compile: gcc -O3 -shared -fPIC -o fused_extract.so fused_extract.c
  */
@@ -688,7 +692,8 @@ static int64_t extract_one(Ctx *ctx, const uint8_t *s, int64_t n,
                            int drop_ws_text, uint8_t *out, int64_t out_off,
                            int64_t out_cap, int64_t *block_lens,
                            int64_t lens_off, int64_t lens_cap,
-                           int64_t *n_blocks_doc, int64_t *bytes_doc) {
+                           int64_t *n_blocks_doc, int64_t *bytes_doc,
+                           double max_link_density, double min_text_len) {
     *n_blocks_doc = 0;
     *bytes_doc = 0;
     int64_t rc = 0;
@@ -970,8 +975,9 @@ static int64_t extract_one(Ctx *ctx, const uint8_t *s, int64_t n,
                 emit_norm2(s, segs[sg].start, segs[sg].end, &st, out + ooff,
                            &blen, segs[sg].in_link ? &lst : NULL, &llen);
             }
-            if (blen < 1) continue; /* min_text_len = 1 */
-            if (blen > 0 && (double)llen / (double)blen > 0.5) continue;
+            if ((double)blen < min_text_len) continue;
+            if (blen > 0 && (double)llen / (double)blen > max_link_density)
+                continue;
             if (lens_off + *n_blocks_doc >= lens_cap) { rc = -3; goto done; }
             block_lens[lens_off + (*n_blocks_doc)++] = blen;
             ooff += blen;
@@ -999,12 +1005,14 @@ done:
 
 int64_t hpr_extract_blocks(const uint8_t *s, int64_t n, int drop_ws_text,
                            uint8_t *out, int64_t out_cap, int64_t *block_lens,
-                           int64_t lens_cap, int64_t *n_blocks) {
+                           int64_t lens_cap, int64_t *n_blocks,
+                           double max_link_density, double min_text_len) {
     Ctx ctx;
     if (!ctx_init(&ctx)) return -1;
     int64_t bytes_doc = 0;
     int64_t rc = extract_one(&ctx, s, n, drop_ws_text, out, 0, out_cap,
-                             block_lens, 0, lens_cap, n_blocks, &bytes_doc);
+                             block_lens, 0, lens_cap, n_blocks, &bytes_doc,
+                             max_link_density, min_text_len);
     ctx_free(&ctx);
     return rc;
 }
@@ -1017,7 +1025,8 @@ int64_t hpr_extract_blocks_batch(const uint8_t *values, const int64_t *offsets,
                                  int64_t n_docs, int drop_ws_text, uint8_t *out,
                                  int64_t out_cap, int64_t *block_lens,
                                  int64_t lens_cap, int64_t *doc_nblocks,
-                                 int64_t *n_blocks_total) {
+                                 int64_t *n_blocks_total,
+                                 double max_link_density, double min_text_len) {
     *n_blocks_total = 0;
     Ctx ctx;
     if (!ctx_init(&ctx)) return -1;
@@ -1027,7 +1036,8 @@ int64_t hpr_extract_blocks_batch(const uint8_t *values, const int64_t *offsets,
         int64_t nb = 0, bytes_doc = 0;
         rc = extract_one(&ctx, values + offsets[d], offsets[d + 1] - offsets[d],
                          drop_ws_text, out, out_off, out_cap, block_lens,
-                         lens_off, lens_cap, &nb, &bytes_doc);
+                         lens_off, lens_cap, &nb, &bytes_doc,
+                         max_link_density, min_text_len);
         if (rc != 0) break;
         doc_nblocks[d] = nb;
         lens_off += nb;

@@ -2,19 +2,23 @@
 
 ``ExtractSpansBatch`` is a callable CLASS for
 ``ds.map_batches(ExtractSpansBatch, batch_format="pyarrow", concurrency=N)``:
-expensive setup (selector cache, heuristic tables, layout model) happens once
-per actor in ``__init__``; ``__call__`` processes one Arrow batch. HTML parsing
-is inherently per-document, so the per-row loop lives inside the actor over a
-zero-copy Arrow batch; everything batch-shaped (schema assembly, offsets) stays
-in Arrow.
+expensive setup (HTML kernel, heuristic tables, layout model) happens once
+per actor in ``__init__``; ``__call__`` processes one Arrow batch in one
+emit. The HTML spans of a batch go through ONE kernel call over the Arrow
+values buffer; everything else (text normalization, media layout, output
+offsets, the output buffer) is batch-shaped numpy/Arrow work.
 """
 
 from __future__ import annotations
 
+import ctypes
+
+import numpy as np
 import pyarrow as pa
 
-from html_parser_ray.extract.boilerplate import ExtractConfig
+from html_parser_ray.extract.boilerplate import ExtractConfig, extract_text_blocks
 from html_parser_ray.extract.extractor import SpanExtractor
+from html_parser_ray.html.document import parse_html
 from html_parser_ray.sources.corpus import SPAN_STRUCT
 
 OUT_SCHEMA = pa.schema(
@@ -32,6 +36,9 @@ METRICS_STRUCT = pa.struct(
         ("parse_errors", pa.int32()),
     ]
 )
+
+# largest byte offset an Arrow string/list array (int32 offsets) can hold
+INT32_OFFSET_MAX = (1 << 31) - 1
 
 
 class ExtractSpansBatch:
@@ -62,16 +69,16 @@ class ExtractSpansBatch:
             layout_pdf_decode=layout_pdf_decode,
             layout_memo=layout_memo,
         )
+        # emit_metrics only adds the per-row ``metrics`` column
         self.emit_metrics = emit_metrics
-        # batched native path: one C call per batch over the Arrow values
-        # buffer (zero-copy in). Only when the per-doc native path is active
-        # (default config + compiler available) and no per-doc metrics are
-        # requested; parity pinned by tests/test_native_parity.py.
-        self._batch_native = None
-        if self.extractor._native is not None and not emit_metrics:
-            from html_parser_ray.native import get_native_batch_extractor
+        # the HTML-blocks kernel, chosen once: the native batch kernel (one C
+        # call per batch over the Arrow values buffer, zero-copy in), else
+        # the DOM oracle behind the same call. Parity pinned by
+        # tests/test_native_parity.py.
+        from html_parser_ray.native import get_native_batch_extractor
 
-            self._batch_native = get_native_batch_extractor()
+        self._html_kernel = get_native_batch_extractor() or self._dom_blocks
+        self._dom_errors: "np.ndarray | None" = None
         # media layout results repeat heavily across a corpus (refs are a
         # bounded id space); memoize the serialized metadata per ref. A
         # ref's repeats scatter ACROSS the pool though, so the local memo
@@ -135,31 +142,59 @@ class ExtractSpansBatch:
                 out[i] = v
         return out
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self._batch_native is not None:
-            # degrade to the Python path only on the KNOWN capacity/overflow
-            # signals (ArrowCapacityError from combine_chunks/cast(binary) on
-            # >2 GB batches, ArrowInvalid/OverflowError from the int32-offsets
-            # assumption). Anything else is a real bug and must surface — a
-            # blanket catch would silently turn every batch into the slow
-            # Python path with no signal. Fallbacks are counted in
-            # extractor.stats.native_fallbacks so degradation is observable.
+    def _dom_blocks(self, values_addr, offsets, total_bytes, drop_ws, *_thresholds):
+        """DOM-oracle twin of the native batch kernel: same call, same
+        ``(buffer, block_lens, doc_nblocks)`` result, under the extractor's
+        config (which holds the thresholds). A doc the parser raises on has
+        no blocks; its count lands in ``self._dom_errors`` (one entry per
+        doc of this call)."""
+        cfg = self.extractor.config
+        n_docs = len(offsets) - 1
+        blocks: "list[bytes]" = []
+        nblocks = np.zeros(n_docs, dtype=np.int64)
+        errors = np.zeros(n_docs, dtype=np.int64)
+        for d in range(n_docs):
+            lo = int(offsets[d])
+            src = ctypes.string_at(values_addr + lo, int(offsets[d + 1]) - lo)
             try:
-                out = self._call_native(batch)
-            except (pa.ArrowCapacityError, pa.ArrowInvalid, OverflowError):
-                out = None
-            if out is not None:
-                return out
+                got = extract_text_blocks(parse_html(src, drop_ws), cfg)
+            except Exception:
+                errors[d] = 1
+                got = []
+            blocks.extend(got)
+            nblocks[d] = len(got)
+        self._dom_errors = errors
+        lens = np.fromiter(map(len, blocks), dtype=np.int64, count=len(blocks))
+        return b"".join(blocks), lens, nblocks
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        # the halving recursion stays below __call__, which subclasses wrap
+        return self._extract(batch)
+
+    def _extract(self, batch: pa.Table) -> pa.Table:
+        """The emit, halving the batch by rows while its spans or output
+        overflow Arrow's int32 offsets (each split counted in
+        ``native_fallbacks``). Any other error escapes."""
+        try:
+            return self._emit(batch)
+        except (pa.ArrowCapacityError, pa.ArrowInvalid, OverflowError) as e:
+            if batch.num_rows < 2:
+                raise OverflowError(
+                    f"doc {batch.column('doc_id').to_pylist()}: its spans "
+                    f"cannot be represented with Arrow int32 offsets ({e})"
+                ) from e
             self.extractor.stats.native_fallbacks += 1
-        return self._call_python(batch)
+            half = batch.num_rows // 2
+            return pa.concat_tables(
+                [self._extract(batch.slice(0, half)), self._extract(batch.slice(half))]
+            )
 
-    def _call_native(self, batch: pa.Table) -> "pa.Table | None":
-        """Batched native extraction: html spans go through ONE C call over
-        the Arrow values buffer; text/media spans are handled vectorized-ish
-        in Python; per-row span order and offset renumbering preserved.
-        Returns None on any native-side capacity error (fallback)."""
-        import numpy as np
-
+    def _emit(self, batch: pa.Table) -> pa.Table:
+        """One batch: html spans go through ONE kernel call over the Arrow
+        values buffer (the DOM oracle if the native kernel declines, counted
+        in ``native_fallbacks``); text/media spans are vectorized; per-row
+        span order and offset renumbering preserved. Raises OverflowError
+        when the output does not fit int32 offsets."""
         import pyarrow.compute as pc
 
         doc_ids = batch.column("doc_id")
@@ -191,15 +226,22 @@ class ExtractSpansBatch:
                 np.frombuffer(bufs[1], dtype=np.int32)[aoff : aoff + n_html + 1]
                 .astype(np.int64)
             )
-            res = self._batch_native(
+            cfg = self.extractor.config
+            args = (
                 bufs[2].address,
                 offs64,
                 int(offs64[-1]),
                 self.extractor.drop_whitespace_text,
+                cfg.max_link_density,
+                cfg.min_text_len,
             )
+            self._dom_errors = np.zeros(n_html, dtype=np.int64)
+            res = self._html_kernel(*args)
             if res is None:
-                return None
+                self.extractor.stats.native_fallbacks += 1
+                res = self._dom_blocks(*args)
             mv, lens, doc_nblocks = res
+            html_errors = self._dom_errors
             block_bounds = np.zeros(len(lens) + 1, dtype=np.int64)
             np.cumsum(lens, out=block_bounds[1:])
             first_block = np.zeros(n_html + 1, dtype=np.int64)
@@ -211,6 +253,8 @@ class ExtractSpansBatch:
             first_block = np.zeros(1, dtype=np.int64)
             doc_nblocks = np.zeros(0, dtype=np.int64)
             html_bytes = 0
+            offs64 = np.zeros(1, dtype=np.int64)
+            html_errors = np.zeros(0, dtype=np.int64)
 
         # ---- fully vectorized span emission (no per-span Python) ----------
         # Every output span is a (source_start, length) range into ONE
@@ -228,7 +272,8 @@ class ExtractSpansBatch:
         # semantics to html.text.normalize_bytes: collapse WHITESPACE runs to
         # one space, drop leading/trailing — parity pinned by tests)
         if len(text_idx):
-            texts_f = text_arr.filter(is_text)
+            # a text-only batch needs no filter copy
+            texts_f = text_arr if len(text_idx) == flat_n else text_arr.filter(is_text)
             if isinstance(texts_f, pa.ChunkedArray):
                 texts_f = texts_f.combine_chunks()
             texts_f = pc.fill_null(texts_f, "")
@@ -287,8 +332,7 @@ class ExtractSpansBatch:
         # b1 = WRITTEN block bytes, not len(mv): the native scratch is
         # grow-only capacity — copying it whole inflated every batch's
         # memcpy (254x observed) and once the scratch grew past 2 GiB the
-        # int32 guard below would have pinned the actor on the Python
-        # fallback forever
+        # int32 guard below would have split every batch
         b1 = int(block_bounds[-1])
         b2 = b1 + len(norm_data)
         src = np.empty(b2 + len(media_blob), dtype=np.uint8)
@@ -323,8 +367,8 @@ class ExtractSpansBatch:
             media_code_out[pos_media] = codes
 
         total_bytes = int(lens_all.sum())
-        if total_bytes > (1 << 31) - 1 or len(src) > (1 << 31) - 1:
-            return None  # int32 Arrow offsets would overflow; Python fallback
+        if max(total_bytes, len(src)) > INT32_OFFSET_MAX:
+            raise OverflowError(f"{total_bytes} output bytes in one batch")
         # multi-range gather: out[k] = src[starts[j] + k - out_start[j]].
         # int32 index math: the bounds check above guarantees every index
         # fits, and the index array is the dominant memory traffic of the
@@ -340,7 +384,7 @@ class ExtractSpansBatch:
         np.cumsum(lens_all, out=val_offs[1:])
 
         # row list offsets + within-row span offsets
-        out_offsets = cum[np.asarray(row_offs) - base]
+        out_offsets = cum[row_offs - base]
         o_off = np.arange(total_out, dtype=np.int64) - np.repeat(
             out_offsets[:-1], np.diff(out_offsets)
         )
@@ -350,6 +394,7 @@ class ExtractSpansBatch:
         st.spans_in += flat_n
         st.spans_out += total_out
         st.html_bytes += html_bytes
+        st.parse_errors += int(html_errors.sum())
 
         text_out = pa.Array.from_buffers(
             pa.binary(),
@@ -382,73 +427,25 @@ class ExtractSpansBatch:
         spans_out = pa.ListArray.from_arrays(
             pa.array(out_offsets.astype(np.int32), type=pa.int32()), struct_arr
         )
-        return pa.table({"doc_id": doc_ids, "spans_out": spans_out})
-
-    def _call_python(self, batch: pa.Table) -> pa.Table:
-        doc_ids = batch.column("doc_id")
-        spans_col = batch.column("spans")
-        if isinstance(spans_col, pa.ChunkedArray):
-            spans_col = spans_col.combine_chunks()
-        # columnar access: flatten the list<struct> once, slice per row by
-        # offsets — avoids per-span dict materialization (to_pylist)
-        flat = spans_col.flatten()
-        in_kinds = flat.field("kind").to_pylist()
-        # zero-copy string -> binary cast: the extractor is byte-oriented, so
-        # hand it UTF-8 bytes directly instead of decoded Python strs
-        in_texts = flat.field("text").cast(pa.binary()).to_pylist()
-        in_media = flat.field("media_ref").to_pylist()
-        offsets = spans_col.offsets.to_pylist()
-        base = offsets[0]
-
-        ex = self.extractor
-        o_kind: list[str] = []
-        o_text: list[str] = []
-        o_media: list[str] = []
-        o_off: list[int] = []
-        out_offsets = [0]
-        metrics: list[dict] = []
-        for ri in range(len(spans_col)):
-            lo, hi = offsets[ri] - base, offsets[ri + 1] - base
-            before_in = ex.stats.spans_in
-            before_err = ex.stats.parse_errors
-            before_bytes = ex.stats.html_bytes
-            k, t, m, o = ex.extract_columns(
-                in_kinds[lo:hi], in_texts[lo:hi], in_media[lo:hi]
-            )
-            o_kind.extend(k)
-            o_text.extend(t)
-            o_media.extend(m)
-            o_off.extend(o)
-            out_offsets.append(len(o_kind))
-            if self.emit_metrics:
-                metrics.append(
-                    {
-                        "spans_in": ex.stats.spans_in - before_in,
-                        "spans_out": len(k),
-                        "html_bytes": ex.stats.html_bytes - before_bytes,
-                        "parse_errors": ex.stats.parse_errors - before_err,
-                    }
-                )
-
-        # output texts are UTF-8 bytes; cast binary -> string validates UTF-8
-        # at C speed (inputs are Arrow strings, so this cannot fail for them;
-        # entity decode only emits valid UTF-8 scalars)
-        text_arr = pa.array(o_text, type=pa.binary()).cast(pa.string())
-        struct_arr = pa.StructArray.from_arrays(
-            [
-                pa.array(o_kind, type=pa.string()),
-                text_arr,
-                pa.array(o_media, type=pa.string()),
-                pa.array(o_off, type=pa.int32()),
-            ],
-            fields=list(SPAN_STRUCT),
-        )
-        spans_out = pa.ListArray.from_arrays(
-            pa.array(out_offsets, type=pa.int32()), struct_arr
-        )
         cols = {"doc_id": doc_ids, "spans_out": spans_out}
         if self.emit_metrics:
-            cols["metrics"] = pa.array(metrics, type=METRICS_STRUCT)
+            row_bounds = row_offs - base
+            html_row = np.searchsorted(row_bounds, html_idx, side="right") - 1
+
+            def per_row(per_html_span: np.ndarray) -> pa.Array:
+                sums = np.zeros(n_rows, dtype=np.int64)
+                np.add.at(sums, html_row, per_html_span)
+                return pa.array(sums)
+
+            cols["metrics"] = pa.StructArray.from_arrays(
+                [
+                    pa.array(np.diff(row_bounds).astype(np.int32)),
+                    pa.array(np.diff(out_offsets).astype(np.int32)),
+                    per_row(np.diff(offs64)),
+                    per_row(html_errors).cast(pa.int32()),
+                ],
+                fields=list(METRICS_STRUCT),
+            )
         return pa.table(cols)
 
 

@@ -171,7 +171,7 @@ def test_split_batch_counts_bytes_and_tolerates_null_text():
 
 def test_native_scratch_growth_does_not_pin_fallback():
     """A large batch grows the native scratch; subsequent small batches must
-    still take the native path (the old len(mv)-capacity sizing counted the
+    still take the one-call path (the old len(mv)-capacity sizing counted the
     grown scratch against the int32 guard and copied it whole every batch)."""
     import pyarrow as pa
 
@@ -205,9 +205,8 @@ def test_native_scratch_growth_does_not_pin_fallback():
     assert out_big.num_rows == 1 and out_small.num_rows == 1
     got = out_small.column("spans_out").to_pylist()[0]
     assert [s["text"] for s in got] == ["alpha beta"]
-    # if the native kernel is available at all, neither batch fell back
-    if stage._batch_native is not None:
-        assert stage.extractor.stats.native_fallbacks == before
+    # neither batch was declined by the kernel or split
+    assert stage.extractor.stats.native_fallbacks == before
 
 
 def test_boilerplate_class_id_precheck_case_insensitive():
@@ -225,3 +224,110 @@ def test_boilerplate_class_id_precheck_case_insensitive():
         html = f'<div {attr}><p>foot junk</p></div><p>keep me</p>'
         got = extract_text_blocks(parse_html(html))
         assert got == [b"keep me"], attr
+
+
+def _one_span_rows(texts, doc_ids=None, kind="text") -> "pa.Table":
+    import pyarrow as pa
+
+    from html_parser_ray.sources.corpus import SPAN_STRUCT
+
+    return pa.table(
+        {
+            "doc_id": pa.array(doc_ids or [f"d{i}" for i in range(len(texts))]),
+            "spans": pa.array(
+                [[{"kind": kind, "text": t, "media_ref": "", "offset": 0}] for t in texts],
+                type=pa.list_(SPAN_STRUCT),
+            ),
+        }
+    )
+
+
+def test_batch_over_2gib_extracts_like_rows_one_at_a_time():
+    """A 3-row chunked batch of 768 MiB text spans (2.25 GiB of span text,
+    more than one Arrow string array can hold) extracts, by halving, to the
+    same spans as its rows one at a time. The rows are overlapping slices
+    of one shared 768 MiB buffer, mostly whitespace, so the test holds one
+    copy of the input and each row's output is a few bytes."""
+    import numpy as np
+    import pyarrow as pa
+
+    from html_parser_ray.sources.corpus import SPAN_STRUCT
+    from html_parser_ray.stages.extract_stage import ExtractSpansBatch
+
+    n = 768 << 20
+    data = np.full(n + 6, ord(" "), dtype=np.uint8)
+    data[:9] = np.frombuffer(b"r0 r1 r2 ", dtype=np.uint8)
+    data[-9:] = np.frombuffer(b" e0 e1 e2", dtype=np.uint8)
+    values = pa.py_buffer(data)
+
+    def row_chunk(i: int) -> pa.ListArray:
+        offsets = pa.py_buffer(np.array([3 * i, 3 * i + n], dtype=np.int32))
+        text = pa.Array.from_buffers(pa.string(), 1, [None, offsets, values])
+        struct = pa.StructArray.from_arrays(
+            [pa.array(["text"]), text, pa.array([""]), pa.array([0], pa.int32())],
+            fields=list(SPAN_STRUCT),
+        )
+        return pa.ListArray.from_arrays(pa.array([0, 1], pa.int32()), struct)
+
+    batch = pa.table(
+        {
+            "doc_id": pa.chunked_array([pa.array([f"d{i}"]) for i in range(3)]),
+            "spans": pa.chunked_array([row_chunk(i) for i in range(3)]),
+        }
+    )
+    stage = ExtractSpansBatch()
+    one_at_a_time = [
+        stage(batch.slice(i, 1)).column("spans_out")[0].as_py() for i in range(3)
+    ]
+    assert [[s["text"] for s in row] for row in one_at_a_time] == [
+        ["r0 r1 r2 e0"], ["r1 r2 e0 e1"], ["r2 e0 e1 e2"]
+    ]
+    assert stage.extractor.stats.native_fallbacks == 0
+    out = stage(batch)
+    assert out.column("doc_id").to_pylist() == ["d0", "d1", "d2"]
+    assert out.column("spans_out").to_pylist() == one_at_a_time
+    assert stage.extractor.stats.native_fallbacks > 0
+
+
+def test_output_over_int32_offsets_halves_batch(monkeypatch):
+    """Output that would overflow the int32 offsets halves the batch by rows
+    (counted); a single row that still overflows raises naming its doc."""
+    import pytest
+
+    import html_parser_ray.stages.extract_stage as stage_mod
+
+    texts = ["alpha  beta", "gamma\tdelta", "epsilon zeta", "eta   theta"]
+    normal = stage_mod.ExtractSpansBatch()(_one_span_rows(texts))
+
+    monkeypatch.setattr(stage_mod, "INT32_OFFSET_MAX", 30)
+    stage = stage_mod.ExtractSpansBatch(emit_metrics=True)
+    out = stage(_one_span_rows(texts))
+    assert out.drop(["metrics"]).equals(normal)
+    assert [m["spans_out"] for m in out.column("metrics").to_pylist()] == [1, 1, 1, 1]
+    assert stage.extractor.stats.native_fallbacks == 1
+
+    with pytest.raises(OverflowError, match="'big'"):
+        stage(_one_span_rows(["x" * 31], doc_ids=["big"]))
+
+
+def test_dom_kernel_counts_parse_errors_per_doc(monkeypatch):
+    """When the DOM oracle extracts a batch's html, a doc the parser raises
+    on yields no blocks and one parse error, in the stats and in that row's
+    metrics."""
+    import html_parser_ray.stages.extract_stage as stage_mod
+
+    real_parse = stage_mod.parse_html
+
+    def parse(src, *a):
+        if src == b"<boom>":
+            raise ValueError("synthetic parser failure")
+        return real_parse(src, *a)
+
+    monkeypatch.setattr(stage_mod, "parse_html", parse)
+    table = _one_span_rows(["<p>x</p>", "<boom>", "<p>y</p>"], kind="html")
+    stage = stage_mod.ExtractSpansBatch(emit_metrics=True)
+    stage._html_kernel = stage._dom_blocks
+    out = stage(table).to_pylist()
+    assert [[s["text"] for s in r["spans_out"]] for r in out] == [["x"], [], ["y"]]
+    assert [r["metrics"]["parse_errors"] for r in out] == [0, 1, 0]
+    assert stage.extractor.stats.parse_errors == 1

@@ -1,9 +1,11 @@
-"""Fused single-pass extractor must be byte-identical to parse+walk.
+"""The native single-pass kernel must be byte-identical to parse+walk.
 
-The DOM path (parse_html -> extract_text_blocks) is the oracle; the fused
-path (extract_blocks_fused) is the hot-path twin. Any divergence on any
-corpus family, edge-case fixture, or config variant is a bug in the fused
-state machine.
+The DOM path (parse_html -> extract_text_blocks) is the oracle; the native
+kernel (``get_native_extractor``) is the hot-path twin for every config that
+differs from the default only in its scalar thresholds. Any divergence on
+any corpus family, edge-case fixture, or config variant is a bug in the
+kernel's state machine. Configs with other drop tags or class markers must
+route to the DOM path.
 """
 
 from __future__ import annotations
@@ -13,9 +15,12 @@ import random
 import pytest
 
 from html_parser_ray.extract.boilerplate import ExtractConfig, extract_text_blocks
-from html_parser_ray.extract.fused import extract_blocks_fused
+from html_parser_ray.extract.extractor import SpanExtractor
 from html_parser_ray.html.document import parse_html
+from html_parser_ray.native import get_native_extractor
 from html_parser_ray.sources import corpus as corpus_mod
+
+_NAT = get_native_extractor()
 
 EDGE_CASES = [
     b"",
@@ -64,8 +69,10 @@ EDGE_CASES = [
 
 CONFIGS = [
     ExtractConfig(),
+    ExtractConfig(max_link_density=0.0),
     ExtractConfig(max_link_density=0.1),
     ExtractConfig(max_link_density=1.0),
+    ExtractConfig(min_text_len=0),
     ExtractConfig(min_text_len=5),
     ExtractConfig(drop_tags=frozenset(b"script style".split())),  # svg kept
     ExtractConfig(drop_class_substrings=(), drop_class_tokens=()),
@@ -76,11 +83,28 @@ def _dom_blocks(src: bytes, cfg, drop_ws=False):
     return extract_text_blocks(parse_html(src, drop_ws), cfg)
 
 
+def _native_blocks(src: bytes, cfg, drop_ws=False):
+    if _NAT is None:
+        pytest.skip("native extractor unavailable (no compiler)")
+    return _NAT(src, drop_ws, cfg.max_link_density, cfg.min_text_len)
+
+
 @pytest.mark.parametrize("case_idx", range(len(EDGE_CASES)))
 def test_edge_case_parity(case_idx):
     src = EDGE_CASES[case_idx]
+    spans = [{"kind": "html", "text": src.decode(), "media_ref": "", "offset": 0}]
     for cfg in CONFIGS:
-        assert extract_blocks_fused(src, cfg) == _dom_blocks(src, cfg), (
+        scalars = ExtractConfig(
+            max_link_density=cfg.max_link_density, min_text_len=cfg.min_text_len
+        )
+        if cfg != scalars:
+            # a tag-table or class-marker config: the extractor runs the DOM path
+            ex = SpanExtractor(config=cfg)
+            assert ex._native is None, cfg
+            got = [s["text"].encode() for s in ex.extract_document(spans)]
+            assert got == _dom_blocks(src, cfg), (case_idx, cfg)
+            continue
+        assert _native_blocks(src, cfg) == _dom_blocks(src, cfg), (
             case_idx,
             cfg,
         )
@@ -93,7 +117,7 @@ def test_corpus_family_parity(fam_idx):
     for seed in range(40):
         rng = random.Random((fam_idx << 16) ^ seed)
         src = fam(rng).encode("utf-8")
-        assert extract_blocks_fused(src, cfg) == _dom_blocks(src, cfg), (
+        assert _native_blocks(src, cfg) == _dom_blocks(src, cfg), (
             fam_idx,
             seed,
         )
@@ -102,7 +126,7 @@ def test_corpus_family_parity(fam_idx):
 def test_drop_whitespace_parity():
     for src in EDGE_CASES:
         cfg = ExtractConfig()
-        assert extract_blocks_fused(src, cfg, drop_whitespace_text=True) == (
+        assert _native_blocks(src, cfg, drop_ws=True) == (
             _dom_blocks(src, cfg, drop_ws=True)
         ), src
 
@@ -122,4 +146,4 @@ def test_random_soup_parity():
         src = "".join(
             rng.choice(pieces) for _ in range(rng.randint(1, 60))
         ).encode("utf-8")
-        assert extract_blocks_fused(src, cfg) == _dom_blocks(src, cfg), (seed, src)
+        assert _native_blocks(src, cfg) == _dom_blocks(src, cfg), (seed, src)

@@ -258,8 +258,8 @@ def test_differential_resume_parity_one_seed():
 
 @pytest.mark.usefixtures("ray_session")
 def test_differential_metrics_parity_one_seed():
-    """The seed-randomized metrics-mode invariant (emit_metrics=True — the
-    per-doc path — must match the batched-native path span-for-span AND
+    """The seed-randomized metrics-mode invariant (stage output under
+    emit_metrics=True must match the DOM oracle per doc span-for-span AND
     report input-derived ground-truth metrics;
     tools/random_differential.py check_metrics_parity) runs in-suite on one
     seed."""

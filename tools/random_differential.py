@@ -24,7 +24,7 @@ a per-seed random corpus (independent of the sf_dir tables):
 ``corpus_split_parity`` (``split_giant_docs=True`` == default call),
 ``checkpoint_resume_parity`` (crash-resume with a random lost-manifest
 subset == direct pipeline, value-exact), and ``metrics_mode_parity``
-(per-doc path under ``emit_metrics=True`` == batched-native path, plus
+(stage output under ``emit_metrics=True`` == the DOM oracle per doc, plus
 metrics audited against input-derived ground truth).
 
 Usage:
@@ -241,16 +241,16 @@ def check_resume_parity(seed: int) -> str | None:
 
 
 def check_metrics_parity(seed: int) -> str | None:
-    """``emit_metrics=True`` ENGINE INVARIANT. The metrics mode disables the
-    batched-native kernel (stages/extract_stage.py) and runs the per-doc
-    path, so this check is simultaneously (a) a batch-native vs per-doc
-    span-output differential THROUGH the Ray stage on a random corpus shape,
-    and (b) an audit of the per-row metrics against ground truth computed
-    from the input table: spans_in == input span count, html_bytes == total
-    UTF-8 bytes of the doc's html spans, spans_out == emitted span count."""
+    """``emit_metrics=True`` ENGINE INVARIANT, on a random corpus shape
+    through the Ray stage: (a) every doc's spans_out equals the DOM oracle
+    (``SpanExtractor(use_fused=False)``, one doc at a time), and (b) the
+    per-row metrics match ground truth computed from the input table:
+    spans_in == input span count, html_bytes == total UTF-8 bytes of the
+    doc's html spans, spans_out == emitted span count, parse_errors == 0."""
     import numpy as np
     import ray.data
 
+    from html_parser_ray.extract.extractor import SpanExtractor
     from html_parser_ray.pipelines.extraction import build_extraction_pipeline
     from html_parser_ray.sources.corpus import generate_documents
 
@@ -258,19 +258,19 @@ def check_metrics_parity(seed: int) -> str | None:
     n = int(rng.randint(25, 60))
     t = generate_documents(n, seed=seed)
     bs = int(rng.choice([3, 8, 32]))
-    base = build_extraction_pipeline(
-        ray.data.from_arrow(t), batch_size=bs
-    ).take_all()
     withm = build_extraction_pipeline(
         ray.data.from_arrow(t), batch_size=bs, emit_metrics=True
     ).take_all()
-    d1 = {r["doc_id"]: r["spans_out"] for r in base}
-    d2 = {r["doc_id"]: r["spans_out"] for r in withm}
-    if set(d1) != set(d2) or len(withm) != n:
-        return f"doc set mismatch: {len(d1)} base vs {len(d2)} metrics-mode"
-    for k in sorted(d1):
-        if d1[k] != d2[k]:
-            return f"spans_out diverge for {k} (n={n}, batch_size={bs})"
+    oracle = SpanExtractor(use_fused=False)
+    expected = {
+        row["doc_id"]: oracle.extract_document(row["spans"]) for row in t.to_pylist()
+    }
+    got = {r["doc_id"]: [dict(s) for s in r["spans_out"]] for r in withm}
+    if set(got) != set(expected) or len(withm) != n:
+        return f"doc set mismatch: {len(expected)} input vs {len(got)} metrics-mode"
+    for k in sorted(expected):
+        if got[k] != expected[k]:
+            return f"spans_out diverge from the DOM oracle for {k} (n={n}, batch_size={bs})"
     truth = {}
     for row in t.to_pylist():
         spans = row["spans"]
@@ -294,6 +294,8 @@ def check_metrics_parity(seed: int) -> str | None:
                 f"{r['doc_id']}: spans_out metric {m['spans_out']} != "
                 f"{len(r['spans_out'])} emitted"
             )
+        if m["parse_errors"] != 0:
+            return f"{r['doc_id']}: parse_errors {m['parse_errors']} != 0"
     return None
 
 
