@@ -34,34 +34,9 @@ def run(smoke: bool = False) -> None:
         ray.data.from_arrow(t), concurrency=2, num_frames=2
     ).take_all()
 
-    # shared layout-decode cache: each distinct media_ref is PDF-decoded
-    # once CLUSTER-WIDE (ref-hash shard actors) instead of once per extract
-    # actor — see stages/layout_cache.py and BENCH/BASELINE.md §11
-    import ray
-
-    from html_parser_ray.pipelines.extraction import build_extraction_pipeline
-    from html_parser_ray.sources.corpus import write_corpus_parquet
-
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        corpus = os.path.join(tmp, "corpus")
-        write_corpus_parquet(corpus, 10 if smoke else 80, seed=3, rows_per_file=40)
-        from html_parser_ray.stages.layout_cache import create_layout_cache
-
-        shards = create_layout_cache(2)
-        ds = ray.data.read_parquet(corpus)
-        out = build_extraction_pipeline(
-            ds, concurrency=2, extractor_kwargs={"layout_cache_shards": shards}
-        )
-        n_docs = out.count()
-        stats = [ray.get(s.stats.remote()) for s in shards]
-        n_decodes = sum(s["decodes"] for s in stats)
-
     print(
         f"decoded {n_img_decoded} PNGs, {n_audio_decoded} WAVs; "
-        f"sampled {len(frames)} video frame offsets (frame grab stubbed); "
-        f"extracted {n_docs} docs with {n_decodes} shared-cache layout decodes"
+        f"sampled {len(frames)} video frame offsets (frame grab stubbed)"
     )
     assert n_img_decoded == t.column("media_type").to_pylist().count("image")
     assert n_audio_decoded == t.column("media_type").to_pylist().count("audio")

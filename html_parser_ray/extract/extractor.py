@@ -17,6 +17,7 @@ block order within an html span) — the per-row invariant the north rule pins.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 import json
 
@@ -24,6 +25,9 @@ from html_parser_ray.extract.boilerplate import ExtractConfig, extract_text_bloc
 from html_parser_ray.extract.layout import LayoutParser
 from html_parser_ray.html.document import parse_html
 from html_parser_ray.html.text import normalize_bytes
+
+# refs the layout memo holds; past it the least recently used is evicted
+LAYOUT_MEMO_CAP = 1 << 16
 
 
 @dataclass
@@ -35,14 +39,14 @@ class ExtractStats:
     parse_errors: int = 0
     # batches the native kernel declined (extracted on the DOM path instead)
     # or that were split in half because their output overflowed Arrow's
-    # int32 offsets, plus layout shard-cache failures: each is a slower path
-    # than the one chosen, so each is counted
+    # int32 offsets: each is a slower path than the one chosen, so each is
+    # counted
     native_fallbacks: int = 0
 
 
 class SpanExtractor:
-    """Stateful per-document extractor: selector cache, heuristic config and
-    the layout parser live for the actor's lifetime (ref analog:
+    """Stateful per-document extractor: selector cache, heuristic config, the
+    layout parser and its memo live for the actor's lifetime (ref analog:
     cached-selector API src/html/document.zig:366-368 + §2.5 actor state)."""
 
     def __init__(
@@ -55,8 +59,12 @@ class SpanExtractor:
         layout_memo: bool = True,
     ) -> None:
         self.config = config or ExtractConfig()
-        self.layout = LayoutParser(
-            layout_model, pdf_decode=layout_pdf_decode, memo=layout_memo
+        self.layout = LayoutParser(layout_model, pdf_decode=layout_pdf_decode)
+        # the one cross-batch layout memo: ref -> layout JSON, LRU-bounded.
+        # Refs repeat across a corpus, and a hit skips the decode and the
+        # JSON encoding. layout_memo=False decodes every call (the oracle).
+        self._layout_memo: "OrderedDict[str, bytes] | None" = (
+            OrderedDict() if layout_memo else None
         )
         self.drop_whitespace_text = drop_whitespace_text
         # ``use_fused``: the native kernel if available. It takes the two
@@ -73,6 +81,23 @@ class SpanExtractor:
 
             self._native = get_native_extractor()
         self.stats = ExtractStats()
+
+    def layout_json(self, ref: str) -> bytes:
+        """``ref``'s layout metadata as sorted-key UTF-8 JSON. A memo miss
+        decodes through ``self.layout.parse``, looked up per call so a
+        wrapper set on the instance after construction sees every decode."""
+        memo = self._layout_memo
+        if memo is not None:
+            hit = memo.get(ref)
+            if hit is not None:
+                memo.move_to_end(ref)
+                return hit
+        out = json.dumps(self.layout.parse(ref), sort_keys=True).encode("utf-8")
+        if memo is not None:
+            memo[ref] = out
+            if len(memo) > LAYOUT_MEMO_CAP:
+                memo.popitem(last=False)
+        return out
 
     def extract_columns(
         self, kinds: list[str], texts: list[bytes], media_refs: list[str]
@@ -122,9 +147,8 @@ class SpanExtractor:
                     o_media.append("")
             elif kind == "media":
                 ref = media_ref or ""
-                meta = self.layout.parse(ref)
                 o_kind.append("media")
-                o_text.append(json.dumps(meta, sort_keys=True).encode("utf-8"))
+                o_text.append(self.layout_json(ref))
                 o_media.append(ref)
             # unknown kinds are dropped deterministically
         st.spans_out += len(o_kind)

@@ -22,26 +22,20 @@ class LayoutParser:
     """Load-once layout parser state (classic actor-pool ``__init__`` state).
 
     ``model_name`` stands in for a model checkpoint path; construction is the
-    expensive step a map_batches actor performs once.
+    expensive step a map_batches actor performs once. A pure decoder: every
+    ``parse`` decodes (``SpanExtractor.layout_json`` owns the memo).
     """
 
     def __init__(
         self,
         model_name: str = "layout-stub-v0",
         pdf_decode: bool = True,
-        memo: bool = True,
     ) -> None:
         self.model_name = model_name
         # pdf_decode=False forces the legacy keyed-hash metadata for ALL
         # refs — the bench's r2-comparable html-only extraction mode
         self.pdf_decode = pdf_decode
         self._key = hashlib.sha256(model_name.encode()).digest()[:8]
-        # refs repeat across a corpus (bounded id space) and the real PDF
-        # parse costs ~0.15 ms — memoize per actor lifetime. memo=False is
-        # for the SCALING bench: a per-actor memo's hit rate depends on the
-        # worker count (1 worker sees every repeat, N workers split them),
-        # so total work would vary with parallelism — a single-node artifact;
-        # on a 256-node cluster the per-actor hit rate is ~0 regardless.
         # optional native summary kernel (pdf_summary.c): handles the
         # well-formed fast path; None or a per-call None falls through to
         # the pure parser, which owns all semantics and error messages
@@ -50,10 +44,6 @@ class LayoutParser:
             from html_parser_ray.native import get_native_pdf_summary
 
             self._native = get_native_pdf_summary()
-        if memo:
-            from functools import lru_cache
-
-            self.parse = lru_cache(maxsize=1 << 16)(self.parse)
 
     def _fetch(self, media_ref: str) -> bytes:
         """Blob fetch — the only stubbed step (no object store in-sandbox):

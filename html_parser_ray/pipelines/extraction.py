@@ -68,12 +68,6 @@ def build_extraction_pipeline(
     batch_size: int = 256,
     emit_metrics: bool = False,
     extractor_kwargs: dict[str, Any] | None = None,
-    # >0 spawns that many LayoutCacheShard actors (stages/layout_cache.py)
-    # so each distinct media_ref is PDF-decoded once cluster-wide instead of
-    # once per extract actor (measured 3.3x fewer decodes on the bench
-    # corpus — BENCH/BASELINE.md §11). Only meaningful with the real decode
-    # branch on; ignored when layout_pdf_decode=False.
-    shared_layout_cache: int = 0,
 ) -> "ray.data.Dataset":
     """Compose the extraction pipeline over an input Dataset: one lazy,
     streaming ``map_batches`` over the extract actor pool.
@@ -85,14 +79,6 @@ def build_extraction_pipeline(
     kwargs["emit_metrics"] = emit_metrics
     if concurrency is None:
         concurrency = _default_concurrency()
-
-    if shared_layout_cache > 0 and kwargs.get("layout_pdf_decode", True):
-        from html_parser_ray.stages.layout_cache import create_layout_cache
-
-        kwargs["layout_cache_shards"] = create_layout_cache(
-            shared_layout_cache,
-            model_name=kwargs.get("layout_model", "layout-stub-v0"),
-        )
 
     return ds.map_batches(
         ExtractSpansBatch,

@@ -57,7 +57,6 @@ class ExtractSpansBatch:
         emit_metrics: bool = False,
         layout_pdf_decode: bool = True,
         layout_memo: bool = True,
-        layout_cache_shards: "list | None" = None,
     ) -> None:
         cfg = ExtractConfig(
             max_link_density=max_link_density, min_text_len=min_text_len
@@ -79,68 +78,6 @@ class ExtractSpansBatch:
 
         self._html_kernel = get_native_batch_extractor() or self._dom_blocks
         self._dom_errors: "np.ndarray | None" = None
-        # media layout results repeat heavily across a corpus (refs are a
-        # bounded id space); memoize the serialized metadata per ref. A
-        # ref's repeats scatter ACROSS the pool though, so the local memo
-        # captures only same-actor repeats — when ``layout_cache_shards``
-        # handles are passed (stages/layout_cache.py), memo MISSES go to the
-        # sharded cluster-wide cache in one batched RPC per batch, making
-        # total decodes equal distinct refs regardless of pool size.
-        import json
-
-        layout = self.extractor.layout
-        self._layout_memo_on = bool(layout_memo)
-        self._media_memo: "dict[str, bytes]" = {}
-        self._media_memo_cap = 1 << 16
-        self._cache_shards = (
-            list(layout_cache_shards) if layout_cache_shards else None
-        )
-
-        def _media_decode(ref: str) -> bytes:
-            return json.dumps(layout.parse(ref), sort_keys=True).encode("utf-8")
-
-        self._media_decode = _media_decode
-
-    def _media_jsons(self, uniques: "list[str]") -> "list[bytes]":
-        """Serialized layout JSON per unique ref: local memo, then the
-        shared shard cache (if configured), then local decode. The JSON is
-        a pure function of the ref, so every path yields identical bytes —
-        a shard failure only loses the dedup saving, never correctness."""
-        memo = self._media_memo
-        out: "list[bytes]" = [b""] * len(uniques)
-        missing: "list[str]" = []
-        mpos: "list[int]" = []
-        for i, u in enumerate(uniques):
-            v = memo.get(u)
-            if v is None:
-                missing.append(u)
-                mpos.append(i)
-            else:
-                out[i] = v
-        if missing:
-            vals = None
-            if self._cache_shards is not None:
-                from html_parser_ray.stages.layout_cache import fetch_media_jsons
-
-                try:
-                    vals = fetch_media_jsons(self._cache_shards, missing)
-                except Exception:
-                    # dead/unreachable shards: local decode for the rest of
-                    # this actor's life; count it so degradation is visible
-                    self._cache_shards = None
-                    self.extractor.stats.native_fallbacks += 1
-                    vals = None
-            if vals is None:
-                vals = [self._media_decode(u) for u in missing]
-            if self._layout_memo_on:
-                cap = self._media_memo_cap
-                for u, v in zip(missing, vals):
-                    if len(memo) >= cap:
-                        break
-                    memo[u] = v
-            for i, v in zip(mpos, vals):
-                out[i] = v
-        return out
 
     def _dom_blocks(self, values_addr, offsets, total_bytes, drop_ws, *_thresholds):
         """DOM-oracle twin of the native batch kernel: same call, same
@@ -295,7 +232,8 @@ class ExtractSpansBatch:
             norm_data = np.zeros(0, dtype=np.uint8)
             norm_lens = np.zeros(0, dtype=np.int64)
 
-        # media spans: JSON per UNIQUE ref only (refs repeat heavily)
+        # media spans: JSON per UNIQUE ref of the batch, through the
+        # extractor's cross-batch layout memo (refs repeat heavily)
         if len(media_idx):
             import pandas as pd
 
@@ -303,7 +241,7 @@ class ExtractSpansBatch:
                 "" if r is None else r for r in media_arr.filter(is_media).to_pylist()
             ]
             codes, uniques = pd.factorize(np.asarray(refs_py, dtype=object))
-            ujsons = self._media_jsons(list(uniques))
+            ujsons = [self.extractor.layout_json(u) for u in uniques]
             media_blob = np.frombuffer(b"".join(ujsons), dtype=np.uint8)
             ulens = np.fromiter((len(j) for j in ujsons), dtype=np.int64, count=len(ujsons))
             uoffs = np.zeros(len(ujsons) + 1, dtype=np.int64)

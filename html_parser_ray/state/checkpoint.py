@@ -255,6 +255,8 @@ def verify_sample(
     same corpus format and re-extracts under the same semantics (the r5
     review found a defaults-only check could report false mismatches
     against a run that used non-default extractor options).
+    ``extractor_kwargs`` are ``ExtractSpansBatch`` keywords, as the run took
+    them; the stage builds the checking extractor from them.
 
     Returns {checked, mismatches} — mismatches must be 0; ``checked`` <
     the sample size means docs vanished from the output.
@@ -262,8 +264,8 @@ def verify_sample(
     import hashlib
     import heapq
 
-    from html_parser_ray.extract.extractor import SpanExtractor
     from html_parser_ray.pipelines.extraction import read_corpus
+    from html_parser_ray.stages.extract_stage import ExtractSpansBatch
 
     def digest(doc_id) -> str:
         return hashlib.md5(f"{seed}:{doc_id}".encode()).hexdigest()
@@ -288,9 +290,10 @@ def verify_sample(
     sample_arr = pa.array(sorted(sample))
 
     # pass 2: expected spans for the sample only (fresh serial extractor,
-    # same kwargs as the checkpointed run); only sampled rows cross into
-    # Python — every batch is filtered at the arrow level first
-    ex = SpanExtractor(**(extractor_kwargs or {}))
+    # built by the stage from the checkpointed run's kwargs); only sampled
+    # rows cross into Python — every batch is filtered at the arrow level
+    # first
+    ex = ExtractSpansBatch(**(extractor_kwargs or {})).extractor
     expected: dict = {}
     for batch in read_corpus(
         input_path, file_format=file_format, columns=["doc_id", "spans"]

@@ -87,6 +87,25 @@ def test_verify_sample_invariant(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_verify_sample_with_non_default_thresholds(tmp_path):
+    """``extractor_kwargs`` are the stage's keywords, as the run took them:
+    a run under non-default thresholds verifies clean under the same
+    kwargs, and the defaults see the difference."""
+    from html_parser_ray.state.checkpoint import verify_sample
+
+    inp = str(tmp_path / "corpus")
+    out = str(tmp_path / "out")
+    write_corpus_parquet(inp, 30, seed=42, rows_per_file=15)
+    kw = {"min_text_len": 5, "max_link_density": 0.1}
+    run_resumable_extraction(
+        inp, out, num_partitions=2, wave_size=2, batch_size=8, extractor_kwargs=kw
+    )
+    res = verify_sample(out, inp, sample_docs=20, extractor_kwargs=kw)
+    assert res == {"checked": 20, "mismatches": 0}
+    assert verify_sample(out, inp, sample_docs=20)["mismatches"] > 0
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_resume_with_different_num_partitions_refused(tmp_path):
     """The md5-mod doc->partition mapping is a function of num_partitions;
     a mismatched resume must fail loudly (it would duplicate and skip docs)."""

@@ -331,3 +331,100 @@ def test_dom_kernel_counts_parse_errors_per_doc(monkeypatch):
     assert [[s["text"] for s in r["spans_out"]] for r in out] == [["x"], [], ["y"]]
     assert [r["metrics"]["parse_errors"] for r in out] == [0, 1, 0]
     assert stage.extractor.stats.parse_errors == 1
+
+
+def _media_rows(refs_per_doc) -> "pa.Table":
+    """One doc per entry: an html span, a text span, then media spans with
+    the entry's refs."""
+    import pyarrow as pa
+
+    from html_parser_ray.sources.corpus import SPAN_STRUCT
+
+    docs = []
+    for refs in refs_per_doc:
+        spans = [
+            {"kind": "html", "text": "<p>lead  text</p>", "media_ref": "", "offset": 0},
+            {"kind": "text", "text": " caption ", "media_ref": "", "offset": 1},
+        ]
+        spans += [
+            {"kind": "media", "text": "", "media_ref": r, "offset": 2 + k}
+            for k, r in enumerate(refs)
+        ]
+        docs.append(spans)
+    return pa.table(
+        {
+            "doc_id": pa.array([f"d{i}" for i in range(len(docs))]),
+            "spans": pa.array(docs, type=pa.list_(SPAN_STRUCT)),
+        }
+    )
+
+
+def _decode_log(extractor) -> "list[str]":
+    """Refs ``extractor`` decodes from now on, in order: wraps the layout
+    parser's ``parse`` on the instance, after construction."""
+    log: "list[str]" = []
+    inner = extractor.layout.parse
+
+    def parse(ref: str) -> dict:
+        log.append(ref)
+        return inner(ref)
+
+    extractor.layout.parse = parse
+    return log
+
+
+def _assert_oracle_equal(table, out) -> None:
+    oracle = SpanExtractor(use_fused=False, layout_memo=False)
+    oracle.layout._native = None
+    want = [oracle.extract_document(spans) for spans in table.column("spans").to_pylist()]
+    assert out.column("spans_out").to_pylist() == want
+
+
+def test_layout_memo_evicts_least_recently_used(monkeypatch):
+    """Past the cap the least recently used ref is evicted: a ref used
+    recently is served without a decode, the oldest is decoded again, and
+    the output equals the DOM oracle's throughout."""
+    import html_parser_ray.extract.extractor as extractor_mod
+    from html_parser_ray.stages.extract_stage import ExtractSpansBatch
+
+    monkeypatch.setattr(extractor_mod, "LAYOUT_MEMO_CAP", 8)
+    stage = ExtractSpansBatch()
+    decoded = _decode_log(stage.extractor)
+    refs = [f"media://pdf/{i:06d}" for i in range(10)]
+
+    first = _media_rows([refs[:4], refs[4:8], refs[:2]])
+    _assert_oracle_equal(first, stage(first))
+    assert decoded == refs[:8]
+
+    # refs[0] becomes the most recent; refs[8:10] then evict refs[1], refs[2]
+    second = _media_rows([[refs[0], refs[8]], [refs[9]]])
+    _assert_oracle_equal(second, stage(second))
+    assert decoded == refs[:10]
+
+    third = _media_rows([[refs[0], refs[1]]])
+    _assert_oracle_equal(third, stage(third))
+    assert decoded == refs[:10] + [refs[1]]
+    assert len(stage.extractor._layout_memo) == 8
+
+
+def test_layout_memo_on_and_off_decode_counts():
+    """With the memo on an actor decodes each distinct ref once; with
+    ``layout_memo=False`` it decodes every unique ref of every batch."""
+    from html_parser_ray.stages.extract_stage import ExtractSpansBatch
+
+    a, b, c = (f"media://pdf/{i:06d}" for i in (1, 2, 3))
+    batches = [_media_rows([[a, b, a], [b]]), _media_rows([[a, c], [c, a]])]
+
+    for memo, want in ((True, [a, b, c]), (False, [a, b, a, c])):
+        stage = ExtractSpansBatch(layout_memo=memo)
+        decoded = _decode_log(stage.extractor)
+        for batch in batches:
+            _assert_oracle_equal(batch, stage(batch))
+        assert decoded == want
+
+    ex = SpanExtractor()
+    decoded = _decode_log(ex)
+    for batch in batches:
+        for spans in batch.column("spans").to_pylist():
+            ex.extract_document(spans)
+    assert decoded == [a, b, c]

@@ -152,8 +152,8 @@ def test_truncated_xref_offsets_decline():
 def test_layout_parser_native_equals_pure_dicts():
     from html_parser_ray.extract.layout import LayoutParser
 
-    nat = LayoutParser(memo=False)
-    pure = LayoutParser(memo=False)
+    nat = LayoutParser()
+    pure = LayoutParser()
     pure._native = None
     for i in range(60):
         ref = f"media://pdf/{i * 997 % 100000:06d}"
