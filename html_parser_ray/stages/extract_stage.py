@@ -5,8 +5,11 @@
 expensive setup (HTML kernel, heuristic tables, layout model) happens once
 per actor in ``__init__``; ``__call__`` processes one Arrow batch in one
 emit. The HTML spans of a batch go through ONE kernel call over the Arrow
-values buffer; everything else (text normalization, media layout, output
-offsets, the output buffer) is batch-shaped numpy/Arrow work.
+values buffer. The emit then gathers by span, not by byte: the kernel's
+blocks, the Arrow-normalized text spans and one layout JSON per unique
+media ref form one binary span pool, every output span is one int64 index
+into it, and one ``pc.take`` builds the output text (the same index gives
+``kind`` and ``media_ref``).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import ctypes
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from html_parser_ray.extract.boilerplate import ExtractConfig, extract_text_blocks
 from html_parser_ray.extract.extractor import SpanExtractor
@@ -127,202 +131,138 @@ class ExtractSpansBatch:
             )
 
     def _emit(self, batch: pa.Table) -> pa.Table:
-        """One batch: html spans go through ONE kernel call over the Arrow
-        values buffer (the DOM oracle if the native kernel declines, counted
-        in ``native_fallbacks``); text/media spans are vectorized; per-row
-        span order and offset renumbering preserved. Raises OverflowError
-        when the output does not fit int32 offsets."""
-        import pyarrow.compute as pc
-
-        doc_ids = batch.column("doc_id")
+        """One batch, one output table. Every output span is one entry of a
+        span pool, ``[html blocks | normalized text spans | layout JSON per
+        unique ref]``, picked by one int64 pool index per output span:
+        ``text`` is one ``pc.take`` over the pool, and ``kind`` and
+        ``media_ref`` follow from the same index. The html spans go through
+        ONE kernel call over the Arrow values buffer (the DOM oracle if the
+        native kernel declines, counted in ``native_fallbacks``). Raises
+        OverflowError when the pool or the output does not fit int32
+        offsets."""
         spans_col = batch.column("spans")
         if isinstance(spans_col, pa.ChunkedArray):
             spans_col = spans_col.combine_chunks()
+        # flatten() skips the values behind NULL rows, so the row bounds
+        # count a NULL row as empty
         flat = spans_col.flatten()
+        row_lens = pc.list_value_length(spans_col).fill_null(0).to_numpy()
+        row_bounds = np.concatenate([[0], np.cumsum(row_lens)])
+        n_rows, flat_n = len(spans_col), len(flat)
         kind_arr = flat.field("kind")
         text_arr = flat.field("text")
-        media_arr = flat.field("media_ref")
-        row_offs = np.asarray(spans_col.offsets)
-        base = row_offs[0]
+        masks = [
+            pc.equal(kind_arr, k).fill_null(False) for k in ("html", "text", "media")
+        ]
+        is_html, is_text, is_media = masks
+        html_idx, text_idx, media_idx = (
+            np.flatnonzero(m.to_numpy(zero_copy_only=False)) for m in masks
+        )
+        # each input span emits counts[j] output spans, pool entries
+        # first[j], first[j] + 1, ...; unknown kinds emit none
+        first = np.zeros(flat_n, dtype=np.int64)
+        counts = np.zeros(flat_n, dtype=np.int64)
 
-        is_html = pc.equal(kind_arr, "html").fill_null(False)
-        is_text = pc.equal(kind_arr, "text").fill_null(False)
-        is_media = pc.equal(kind_arr, "media").fill_null(False)
-        html_np = is_html.to_numpy(zero_copy_only=False)
-        text_np = is_text.to_numpy(zero_copy_only=False)
-        media_np = is_media.to_numpy(zero_copy_only=False)
-
-        html_texts = text_arr.filter(is_html).cast(pa.binary())
-        if isinstance(html_texts, pa.ChunkedArray):
-            html_texts = html_texts.combine_chunks()
-        n_html = len(html_texts)
-        if n_html > 0:
-            bufs = html_texts.buffers()
-            aoff = html_texts.offset
-            offs64 = (
-                np.frombuffer(bufs[1], dtype=np.int32)[aoff : aoff + n_html + 1]
-                .astype(np.int64)
-            )
+        # html: the kernel's blocks, in span order, are pool entries [0, nb)
+        blocks = b""
+        block_lens = np.zeros(0, dtype=np.int64)
+        html_offs = np.zeros(1, dtype=np.int64)
+        html_errors = np.zeros(0, dtype=np.int64)
+        if len(html_idx):
+            html_texts = text_arr.filter(is_html).cast(pa.binary())
+            bufs, aoff = html_texts.buffers(), html_texts.offset
+            html_offs = np.frombuffer(bufs[1], np.int32)[aoff : aoff + len(html_idx) + 1]
+            html_offs = html_offs.astype(np.int64)
             cfg = self.extractor.config
             args = (
                 bufs[2].address,
-                offs64,
-                int(offs64[-1]),
+                html_offs,
+                int(html_offs[-1]),
                 self.extractor.drop_whitespace_text,
                 cfg.max_link_density,
                 cfg.min_text_len,
             )
-            self._dom_errors = np.zeros(n_html, dtype=np.int64)
+            self._dom_errors = np.zeros(len(html_idx), dtype=np.int64)
             res = self._html_kernel(*args)
             if res is None:
                 self.extractor.stats.native_fallbacks += 1
                 res = self._dom_blocks(*args)
-            mv, lens, doc_nblocks = res
+            blocks, block_lens, doc_nblocks = res
             html_errors = self._dom_errors
-            block_bounds = np.zeros(len(lens) + 1, dtype=np.int64)
-            np.cumsum(lens, out=block_bounds[1:])
-            first_block = np.zeros(n_html + 1, dtype=np.int64)
-            np.cumsum(doc_nblocks, out=first_block[1:])
-            html_bytes = int(offs64[-1] - offs64[0])
-        else:
-            mv = memoryview(b"")
-            block_bounds = np.zeros(1, dtype=np.int64)
-            first_block = np.zeros(1, dtype=np.int64)
-            doc_nblocks = np.zeros(0, dtype=np.int64)
-            html_bytes = 0
-            offs64 = np.zeros(1, dtype=np.int64)
-            html_errors = np.zeros(0, dtype=np.int64)
+            counts[html_idx] = doc_nblocks
+            first[html_idx] = np.cumsum(doc_nblocks) - doc_nblocks
+        nb = len(block_lens)
 
-        # ---- fully vectorized span emission (no per-span Python) ----------
-        # Every output span is a (source_start, length) range into ONE
-        # concatenated source buffer: [native html blocks | normalized text
-        # spans | media JSON blob]. Output positions, offsets and the final
-        # values buffer are all numpy offset arithmetic; the byte movement is
-        # a single multi-range gather.
-        n_rows = len(spans_col)
-        flat_n = len(flat)
-        html_idx = np.flatnonzero(html_np)
-        text_idx = np.flatnonzero(text_np)
-        media_idx = np.flatnonzero(media_np)
-
-        # text spans: whitespace-normalize with Arrow kernels (identical
-        # semantics to html.text.normalize_bytes: collapse WHITESPACE runs to
-        # one space, drop leading/trailing — parity pinned by tests)
+        # text: whitespace-normalized with Arrow kernels (the semantics of
+        # html.text.normalize_bytes: collapse WHITESPACE runs to one space,
+        # drop leading/trailing); the j-th text span is pool entry nb + j,
+        # emitted only when it normalizes to a non-empty string
+        norm = pa.array([], type=pa.string())
         if len(text_idx):
             # a text-only batch needs no filter copy
-            texts_f = text_arr if len(text_idx) == flat_n else text_arr.filter(is_text)
-            if isinstance(texts_f, pa.ChunkedArray):
-                texts_f = texts_f.combine_chunks()
-            texts_f = pc.fill_null(texts_f, "")
+            texts = text_arr if len(text_idx) == flat_n else text_arr.filter(is_text)
             norm = pc.utf8_trim(
-                pc.replace_substring_regex(texts_f, "[ \n\r\t\x0c]+", " "), " "
+                pc.replace_substring_regex(
+                    pc.fill_null(texts, ""), "[ \n\r\t\x0c]+", " "
+                ),
+                " ",
             )
-            norm_bin = norm.cast(pa.binary())
-            if isinstance(norm_bin, pa.ChunkedArray):
-                norm_bin = norm_bin.combine_chunks()
-            nbufs = norm_bin.buffers()
-            noff = norm_bin.offset
-            norm_offs = np.frombuffer(nbufs[1], dtype=np.int32)[
-                noff : noff + len(norm_bin) + 1
-            ].astype(np.int64)
-            norm_data = np.frombuffer(nbufs[2], dtype=np.uint8)
-            norm_lens = np.diff(norm_offs)
-        else:
-            norm_offs = np.zeros(1, dtype=np.int64)
-            norm_data = np.zeros(0, dtype=np.uint8)
-            norm_lens = np.zeros(0, dtype=np.int64)
+        norm_lens = pc.binary_length(norm).to_numpy(zero_copy_only=False)
+        nt = len(norm_lens)
+        first[text_idx] = nb + np.arange(nt)
+        counts[text_idx] = norm_lens > 0
 
-        # media spans: JSON per UNIQUE ref of the batch, through the
-        # extractor's cross-batch layout memo (refs repeat heavily)
+        # media: one layout JSON per UNIQUE ref of the batch, through the
+        # extractor's cross-batch layout memo (refs repeat heavily); a span
+        # whose ref is the c-th unique is pool entry nb + nt + c
+        refs = pa.array([], type=pa.string())
+        ujsons: "list[bytes]" = []
         if len(media_idx):
-            import pandas as pd
-
-            refs_py = [
-                "" if r is None else r for r in media_arr.filter(is_media).to_pylist()
-            ]
-            codes, uniques = pd.factorize(np.asarray(refs_py, dtype=object))
-            ujsons = [self.extractor.layout_json(u) for u in uniques]
-            media_blob = np.frombuffer(b"".join(ujsons), dtype=np.uint8)
-            ulens = np.fromiter((len(j) for j in ujsons), dtype=np.int64, count=len(ujsons))
-            uoffs = np.zeros(len(ujsons) + 1, dtype=np.int64)
-            np.cumsum(ulens, out=uoffs[1:])
-        else:
-            refs_py = []
-            codes = np.zeros(0, dtype=np.int64)
-            uniques = np.zeros(0, dtype=object)
-            media_blob = np.zeros(0, dtype=np.uint8)
-            ulens = np.zeros(0, dtype=np.int64)
-            uoffs = np.zeros(1, dtype=np.int64)
-
-        # per-input-span output counts -> output positions
-        counts = np.zeros(flat_n, dtype=np.int64)
-        if len(html_idx):
-            counts[html_idx] = doc_nblocks
-        if len(text_idx):
-            counts[text_idx] = (norm_lens > 0).astype(np.int64)
-        if len(media_idx):
+            coded = flat.field("media_ref").filter(is_media).fill_null("")
+            coded = coded.dictionary_encode()
+            refs = coded.dictionary
+            ujsons = [self.extractor.layout_json(r) for r in refs.to_pylist()]
+            first[media_idx] = nb + nt + coded.indices.to_numpy()
             counts[media_idx] = 1
-        cum = np.zeros(flat_n + 1, dtype=np.int64)
-        np.cumsum(counts, out=cum[1:])
+
+        # output slot p of input span j (cum[j] <= p < cum[j + 1]) takes
+        # pool entry first[j] + (p - cum[j])
+        cum = np.concatenate([[0], np.cumsum(counts)])
         total_out = int(cum[-1])
+        idx = np.repeat(first - cum[:-1], counts) + np.arange(total_out)
+        pool_lens = np.concatenate(
+            [block_lens, norm_lens, np.fromiter(map(len, ujsons), np.int64, len(ujsons))]
+        )
+        nbytes = max(int(pool_lens.sum()), int(pool_lens[idx].sum()))
+        if nbytes > INT32_OFFSET_MAX:
+            raise OverflowError(f"{nbytes} pool or output bytes in one batch")
 
-        # source buffer = html blocks | normalized text | media JSON.
-        # b1 = WRITTEN block bytes, not len(mv): the native scratch is
-        # grow-only capacity — copying it whole inflated every batch's
-        # memcpy (254x observed) and once the scratch grew past 2 GiB the
-        # int32 guard below would have split every batch
-        b1 = int(block_bounds[-1])
-        b2 = b1 + len(norm_data)
-        src = np.empty(b2 + len(media_blob), dtype=np.uint8)
-        if b1:
-            src[:b1] = np.frombuffer(mv, dtype=np.uint8, count=b1)
-        src[b1:b2] = norm_data
-        src[b2:] = media_blob
-
-        starts_all = np.zeros(total_out, dtype=np.int64)
-        lens_all = np.zeros(total_out, dtype=np.int64)
-        is_media_out = np.zeros(total_out, dtype=bool)
-        media_code_out = np.zeros(total_out, dtype=np.int64)
-        if len(html_idx):
-            # html span -> its contiguous native block range, placed at the
-            # span's output slot run
-            pos_html = np.repeat(cum[html_idx], doc_nblocks) + (
-                np.arange(len(block_bounds) - 1, dtype=np.int64)
-                - np.repeat(first_block[:-1], doc_nblocks)
-            )
-            starts_all[pos_html] = block_bounds[:-1]
-            lens_all[pos_html] = np.diff(block_bounds)
-        if len(text_idx):
-            kept = norm_lens > 0
-            pos_text = cum[text_idx[kept]]
-            starts_all[pos_text] = b1 + norm_offs[:-1][kept]
-            lens_all[pos_text] = norm_lens[kept]
-        if len(media_idx):
-            pos_media = cum[media_idx]
-            starts_all[pos_media] = b2 + uoffs[codes]
-            lens_all[pos_media] = ulens[codes]
-            is_media_out[pos_media] = True
-            media_code_out[pos_media] = codes
-
-        total_bytes = int(lens_all.sum())
-        if max(total_bytes, len(src)) > INT32_OFFSET_MAX:
-            raise OverflowError(f"{total_bytes} output bytes in one batch")
-        # multi-range gather: out[k] = src[starts[j] + k - out_start[j]].
-        # int32 index math: the bounds check above guarantees every index
-        # fits, and the index array is the dominant memory traffic of the
-        # whole emit (one element PER OUTPUT BYTE) — halving its width
-        # matters when 16 actors share the memory bus.
-        shift = np.zeros(total_out, dtype=np.int64)
-        np.cumsum(lens_all[:-1], out=shift[1:])
-        gather_idx = np.repeat(
-            (starts_all - shift).astype(np.int32), lens_all
-        ) + np.arange(total_bytes, dtype=np.int32)
-        values = src[gather_idx]
-        val_offs = np.zeros(total_out + 1, dtype=np.int64)
-        np.cumsum(lens_all, out=val_offs[1:])
+        # the html blocks are wrapped zero-copy (the native kernel's
+        # scratch, reused by its next call): the concat copies them into
+        # the pool, and the take copies the pool into the output
+        block_offs = np.concatenate([[0], np.cumsum(block_lens)]).astype(np.int32)
+        pool = pa.concat_arrays(
+            [
+                pa.Array.from_buffers(
+                    pa.binary(),
+                    nb,
+                    [None, pa.py_buffer(block_offs), pa.py_buffer(blocks)],
+                ),
+                norm.cast(pa.binary()),
+                pa.array(ujsons, type=pa.binary()),
+            ]
+        )
+        text_out = pc.take(pool, idx).cast(pa.string())
+        is_media_out = idx >= nb + nt
+        kind_out = pc.take(pa.array(["text", "media"]), is_media_out.astype(np.int8))
+        # media_ref: the span's ref for media slots, "" for the rest
+        media_out = pc.take(
+            pa.concat_arrays([refs, pa.array([""])]),
+            np.where(is_media_out, idx - (nb + nt), len(refs)),
+        )
 
         # row list offsets + within-row span offsets
-        out_offsets = cum[row_offs - base]
+        out_offsets = cum[row_bounds]
         o_off = np.arange(total_out, dtype=np.int64) - np.repeat(
             out_offsets[:-1], np.diff(out_offsets)
         )
@@ -331,55 +271,30 @@ class ExtractSpansBatch:
         st.docs += n_rows
         st.spans_in += flat_n
         st.spans_out += total_out
-        st.html_bytes += html_bytes
+        st.html_bytes += int(html_offs[-1] - html_offs[0])
         st.parse_errors += int(html_errors.sum())
 
-        text_out = pa.Array.from_buffers(
-            pa.binary(),
-            total_out,
-            [
-                None,
-                # py_buffer wraps numpy arrays zero-copy (and keeps them
-                # alive); .tobytes() was one extra full copy per batch
-                pa.py_buffer(val_offs.astype(np.int32)),
-                pa.py_buffer(values),
-            ],
-        ).cast(pa.string())
-        kind_arr = pa.DictionaryArray.from_arrays(
-            pa.array(is_media_out.astype(np.int8), type=pa.int8()),
-            pa.array(["text", "media"], type=pa.string()),
-        ).cast(pa.string())
-        # media_ref: "" except media slots (pool lookup, no Python per span)
-        ref_pool = pa.array(list(uniques) + [""], type=pa.string())
-        ref_take = np.where(is_media_out, media_code_out, len(uniques))
-        media_out = pc.take(ref_pool, pa.array(ref_take, type=pa.int64()))
         struct_arr = pa.StructArray.from_arrays(
-            [
-                kind_arr,
-                text_out,
-                media_out,
-                pa.array(o_off.astype(np.int32), type=pa.int32()),
-            ],
+            [kind_out, text_out, media_out, pa.array(o_off.astype(np.int32))],
             fields=list(SPAN_STRUCT),
         )
         spans_out = pa.ListArray.from_arrays(
-            pa.array(out_offsets.astype(np.int32), type=pa.int32()), struct_arr
+            pa.array(out_offsets.astype(np.int32)), struct_arr
         )
-        cols = {"doc_id": doc_ids, "spans_out": spans_out}
+        cols = {"doc_id": batch.column("doc_id"), "spans_out": spans_out}
         if self.emit_metrics:
-            row_bounds = row_offs - base
-            html_row = np.searchsorted(row_bounds, html_idx, side="right") - 1
+            # html spans before each row bound
+            html_bounds = np.searchsorted(html_idx, row_bounds)
 
             def per_row(per_html_span: np.ndarray) -> pa.Array:
-                sums = np.zeros(n_rows, dtype=np.int64)
-                np.add.at(sums, html_row, per_html_span)
-                return pa.array(sums)
+                c = np.concatenate([[0], np.cumsum(per_html_span)])
+                return pa.array(c[html_bounds[1:]] - c[html_bounds[:-1]])
 
             cols["metrics"] = pa.StructArray.from_arrays(
                 [
                     pa.array(np.diff(row_bounds).astype(np.int32)),
                     pa.array(np.diff(out_offsets).astype(np.int32)),
-                    per_row(np.diff(offs64)),
+                    per_row(np.diff(html_offs)),
                     per_row(html_errors).cast(pa.int32()),
                 ],
                 fields=list(METRICS_STRUCT),

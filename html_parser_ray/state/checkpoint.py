@@ -238,9 +238,11 @@ def verify_sample(
     extractor_kwargs: "dict | None" = None,
 ) -> dict:
     """Per-row invariant self-check (the north rule's span-sequence equality):
-    re-extract a deterministic sample of documents with a fresh
-    single-threaded SpanExtractor and compare span sequences
-    (kind, text, media_ref, offset) against the committed output.
+    re-extract a deterministic sample of documents with the DOM oracle
+    (``SpanExtractor(use_fused=False, layout_memo=False)``, no native PDF
+    summary) and compare span sequences (kind, text, media_ref, offset)
+    against the committed output. No fast path of the run is shared with
+    the check, so a kernel bug shows up as a mismatch.
 
     The sample is drawn from the INPUT (the ``sample_docs`` smallest
     seeded-md5 digests — deterministic under any batch order), so a
@@ -256,7 +258,8 @@ def verify_sample(
     review found a defaults-only check could report false mismatches
     against a run that used non-default extractor options).
     ``extractor_kwargs`` are ``ExtractSpansBatch`` keywords, as the run took
-    them; the stage builds the checking extractor from them.
+    them; the oracle takes the run's config, layout model, whitespace mode
+    and PDF-decode mode from them.
 
     Returns {checked, mismatches} — mismatches must be 0; ``checked`` <
     the sample size means docs vanished from the output.
@@ -264,6 +267,7 @@ def verify_sample(
     import hashlib
     import heapq
 
+    from html_parser_ray.extract.extractor import SpanExtractor
     from html_parser_ray.pipelines.extraction import read_corpus
     from html_parser_ray.stages.extract_stage import ExtractSpansBatch
 
@@ -289,11 +293,20 @@ def verify_sample(
     }
     sample_arr = pa.array(sorted(sample))
 
-    # pass 2: expected spans for the sample only (fresh serial extractor,
-    # built by the stage from the checkpointed run's kwargs); only sampled
-    # rows cross into Python — every batch is filtered at the arrow level
-    # first
-    ex = ExtractSpansBatch(**(extractor_kwargs or {})).extractor
+    # pass 2: expected spans for the sample only, from the DOM oracle under
+    # the semantics of the run's extractor (read off a stage built from the
+    # run's kwargs); only sampled rows cross into Python — every batch is
+    # filtered at the arrow level first
+    run = ExtractSpansBatch(**(extractor_kwargs or {})).extractor
+    ex = SpanExtractor(
+        config=run.config,
+        layout_model=run.layout.model_name,
+        drop_whitespace_text=run.drop_whitespace_text,
+        use_fused=False,
+        layout_pdf_decode=run.layout.pdf_decode,
+        layout_memo=False,
+    )
+    ex.layout._native = None
     expected: dict = {}
     for batch in read_corpus(
         input_path, file_format=file_format, columns=["doc_id", "spans"]

@@ -106,6 +106,25 @@ def test_verify_sample_with_non_default_thresholds(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_verify_sample_checks_against_the_dom_oracle(tmp_path, monkeypatch):
+    """The check re-extracts with the DOM oracle, not with the run's native
+    kernel: with the per-document kernel replaced by one that drops every
+    block, a correct run still verifies clean."""
+    import html_parser_ray.native as native_mod
+    from html_parser_ray.state.checkpoint import verify_sample
+
+    inp = str(tmp_path / "corpus")
+    out = str(tmp_path / "out")
+    write_corpus_parquet(inp, 30, seed=42, rows_per_file=15)
+    run_resumable_extraction(inp, out, num_partitions=2, wave_size=2, batch_size=8)
+
+    monkeypatch.setattr(
+        native_mod, "get_native_extractor", lambda: (lambda *a, **k: [])
+    )
+    assert verify_sample(out, inp, sample_docs=20) == {"checked": 20, "mismatches": 0}
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_resume_with_different_num_partitions_refused(tmp_path):
     """The md5-mod doc->partition mapping is a function of num_partitions;
     a mismatched resume must fail loudly (it would duplicate and skip docs)."""

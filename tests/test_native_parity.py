@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -129,16 +130,70 @@ def _html_table(sources: "list[bytes]") -> pa.Table:
 
 
 def _oracle_rows(table: pa.Table, cfg: ExtractConfig) -> "list[list[dict]]":
-    ex = SpanExtractor(config=cfg, use_fused=False)
+    ex = SpanExtractor(config=cfg, use_fused=False, layout_memo=False)
+    ex.layout._native = None
     return [ex.extract_document(r) for r in table.column("spans").to_pylist()]
 
 
+def _span(kind, text="", media_ref="") -> dict:
+    return {"kind": kind, "text": text, "media_ref": media_ref, "offset": 0}
+
+
+def _shape_batches() -> "list[pa.Table]":
+    """Batch shapes the stage's span pool and pool index must handle:
+    NULL and empty rows (one NULL row backed by a non-empty sub-list), NULL
+    fields and unknown kinds, spans that emit nothing, single-kind batches
+    and repeated refs."""
+    html = "<div><p>alpha  beta</p><p>gamma</p></div>"
+    pdf, pdf2, img = "media://pdf/000001", "media://pdf/000002", "media://img/x"
+    batches = [
+        [[_span("text", " lead ")], None, [], [_span("html", html)], None, []],
+        [
+            [{"kind": None, "text": "x", "media_ref": "r", "offset": 0},
+             _span("text", None), _span("html", None), _span("media", None, None)],
+            [_span("video", "v"), _span("TEXT", "upper"), _span("text", "kept")],
+            [_span("", "no kind"), _span("media", "", pdf)],
+        ],
+        [
+            [_span("text", " \n\t "), _span("html", "<script>x</script>"), _span("text", "")],
+            [_span("html", ""), _span("html", html), _span("text", "\x0c")],
+            [_span("html", "<nav><a href='#'>home</a></nav>"), _span("text", "after")],
+        ],
+        [[_span("media", "", r) for r in (pdf, pdf2, img, pdf)],
+         [_span("media", "", pdf2)] * 3, [_span("media", "", img)]],
+        [[_span("text", f" t{i}  x ")] for i in range(4)],
+        [[_span("html", html)] * 2, [_span("html", "<p>one</p>")], [_span("html", html)]],
+    ]
+    tables = [
+        pa.table(
+            {
+                "doc_id": pa.array([f"d{i}" for i in range(len(rows))]),
+                "spans": pa.array(rows, type=pa.list_(SPAN_STRUCT)),
+            }
+        )
+        for rows in batches
+    ]
+    values = pa.array([_span("text", f"v{i}") for i in range(4)], type=SPAN_STRUCT)
+    null_backed = pa.ListArray.from_arrays(
+        pa.array([0, 1, 3, 4], pa.int32()), values, mask=pa.array([False, True, False])
+    )
+    tables.append(pa.table({"doc_id": ["a", "b", "c"], "spans": null_backed}))
+    return tables
+
+
 def test_scalar_config_variants_extractor_and_stage():
-    """Each scalar-threshold variant, with the native kernel active, equals
-    the DOM oracle per document (SpanExtractor) and per batch
-    (ExtractSpansBatch) over the edge cases and the corpus families."""
+    """The default and each scalar-threshold variant, with the native
+    kernel active, equal the DOM oracle per document (SpanExtractor) and
+    per batch (ExtractSpansBatch) over the edge cases and the corpus
+    families. Per batch, the batch shapes of ``_shape_batches`` are also
+    fed whole, as a slice at a nonzero offset and as a two-chunk table, to
+    the native kernel and to the DOM adapter."""
     sources = list(EDGE_CASES) + _corpus_sources(per_family=10)
-    for cfg in SCALAR_CONFIGS:
+    shapes = []
+    for t in _shape_batches():
+        half = t.num_rows // 2
+        shapes += [t, t.slice(1), pa.concat_tables([t.slice(0, half), t.slice(half)])]
+    for cfg in [ExtractConfig(), *SCALAR_CONFIGS]:
         ex = SpanExtractor(config=cfg)
         assert ex._native is not None
         for src in sources:
@@ -154,6 +209,53 @@ def test_scalar_config_variants_extractor_and_stage():
         got = stage(table).column("spans_out").to_pylist()
         assert got == expected, cfg
         assert stage.extractor.stats.native_fallbacks == 0
+        dom_stage = ExtractSpansBatch(
+            max_link_density=cfg.max_link_density, min_text_len=cfg.min_text_len
+        )
+        dom_stage._html_kernel = dom_stage._dom_blocks
+        for k, shape in enumerate(shapes):
+            want = _oracle_rows(shape, cfg)
+            for st in (stage, dom_stage):
+                out = st(shape)
+                assert out.column("doc_id").equals(shape.column("doc_id"))
+                assert out.column("spans_out").to_pylist() == want, (cfg, k)
+        assert stage.extractor.stats.native_fallbacks == 0
+
+
+def test_stage_output_does_not_alias_native_scratch():
+    """The span pool wraps the native kernel's thread-local, grow-only
+    scratch zero-copy, so the output must own its bytes: a later, larger
+    batch that rewrites the scratch leaves an earlier output unchanged, and
+    no output buffer points into the scratch."""
+    stage = ExtractSpansBatch()
+    real = stage._html_kernel
+    scratch = []
+
+    def kernel(*args):
+        res = real(*args)
+        addr = np.frombuffer(res[0], dtype=np.uint8).ctypes.data
+        scratch.append((addr, addr + len(res[0])))
+        return res
+
+    stage._html_kernel = kernel
+
+    def html_rows(html: str, n: int) -> pa.Table:
+        spans = pa.array([[_span("html", html)]] * n, type=pa.list_(SPAN_STRUCT))
+        return pa.table({"doc_id": [f"d{i}" for i in range(n)], "spans": spans})
+
+    # html-only, so every output span is a kernel block
+    out1 = stage(html_rows("<p>first doc</p><p>two</p>", 4))
+    copy1 = pa.Table.from_pylist(out1.to_pylist(), schema=out1.schema)
+    stage(html_rows("<div><p>" + "second larger " * 2000 + "</p></div>", 8))
+    # the second batch rewrote the same scratch the first one was read from
+    assert scratch[0] == scratch[1]
+    assert out1.equals(copy1)
+    for col in out1.columns:
+        for chunk in col.chunks:
+            for buf in chunk.buffers():
+                if buf is not None and buf.size:
+                    for lo, hi in scratch:
+                        assert buf.address + buf.size <= lo or buf.address >= hi
 
 
 def test_batch_stage_counts_native_fallbacks():
