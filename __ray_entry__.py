@@ -112,22 +112,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         )
 
     def extract_corpus_split(sf_dir: str):
-        """Same flagship extraction called with ``split_giant_docs=True``,
-        which no longer changes the plan; output must equal extract_corpus
-        (pinned by tests)."""
-        import ray.data
-
-        from html_parser_ray.pipelines.extraction import build_extraction_pipeline
-        from html_parser_ray.sources.corpus import generate_documents
-
-        n = 200 if "0.01" in sf_dir else 50
-        ds = ray.data.from_arrow(generate_documents(n, seed=42)).repartition(8)
-        out = build_extraction_pipeline(
-            ds, batch_size=32, split_giant_docs=True
-        )
-        return out.map_batches(flatten, batch_format="pyarrow").sort(
-            ["doc_id", "offset"]
-        )
+        """Kept under its own name: giant documents are no longer split, so
+        this is extract_corpus (equal output pinned by tests)."""
+        return extract_corpus(sf_dir)
 
     def media_image_features(sf_dir: str):
         """REAL PNG decode -> resize -> grid features over the deterministic

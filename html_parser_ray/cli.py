@@ -2,7 +2,7 @@
 html_parser_ray.cli extract ...``).
 
 Owns its Ray session (guarded init — the only places allowed to init are this
-CLI, bench.py and the pytest fixture).
+CLI, the benchmark under ``perfbench/`` and the pytest fixture).
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ def main(argv: list[str] | None = None) -> int:
     p_extract.add_argument("--num-partitions", type=int, default=64)
     p_extract.add_argument("--wave-size", type=int, default=16)
     p_extract.add_argument("--batch-size", type=int, default=64)
-    p_extract.add_argument("--split-giant-docs", action="store_true",
-                           help="accepted for compatibility; no longer changes the plan")
     p_extract.add_argument("--no-resume", action="store_true",
                            help="ignore existing manifest (reprocess everything)")
 
@@ -173,8 +171,8 @@ def main(argv: list[str] | None = None) -> int:
 
     import ray
 
-    # shut down only a session WE created: an embedding caller (bench,
-    # pytest fixture) owns its session and must get it back intact
+    # shut down only a session WE created: an embedding caller (the
+    # benchmark, pytest fixture) owns its session and must get it back intact
     owns_session = not ray.is_initialized()
     if owns_session:
         ray.init(include_dashboard=False)
@@ -193,7 +191,6 @@ def main(argv: list[str] | None = None) -> int:
                 wave_size=args.wave_size,
                 file_format=args.format,
                 batch_size=args.batch_size,
-                split_giant_docs=args.split_giant_docs,
             )
             print(json.dumps(summary))
             return 0

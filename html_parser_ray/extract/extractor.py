@@ -55,11 +55,10 @@ class SpanExtractor:
         layout_model: str = "layout-stub-v0",
         drop_whitespace_text: bool = False,
         use_fused: bool = True,
-        layout_pdf_decode: bool = True,
         layout_memo: bool = True,
     ) -> None:
         self.config = config or ExtractConfig()
-        self.layout = LayoutParser(layout_model, pdf_decode=layout_pdf_decode)
+        self.layout = LayoutParser(layout_model)
         # the one cross-batch layout memo: ref -> layout JSON, LRU-bounded.
         # Refs repeat across a corpus, and a hit skips the decode and the
         # JSON encoding. layout_memo=False decodes every call (the oracle).

@@ -23,27 +23,20 @@ class LayoutParser:
 
     ``model_name`` stands in for a model checkpoint path; construction is the
     expensive step a map_batches actor performs once. A pure decoder: every
-    ``parse`` decodes (``SpanExtractor.layout_json`` owns the memo).
+    ``parse`` decodes (``SpanExtractor.layout_json`` owns the memo). PDF refs
+    are always decoded; every other ref gets keyed-hash metadata.
     """
 
-    def __init__(
-        self,
-        model_name: str = "layout-stub-v0",
-        pdf_decode: bool = True,
-    ) -> None:
+    def __init__(self, model_name: str = "layout-stub-v0") -> None:
         self.model_name = model_name
-        # pdf_decode=False forces the legacy keyed-hash metadata for ALL
-        # refs — the bench's r2-comparable html-only extraction mode
-        self.pdf_decode = pdf_decode
         self._key = hashlib.sha256(model_name.encode()).digest()[:8]
         # optional native summary kernel (pdf_summary.c): handles the
         # well-formed fast path; None or a per-call None falls through to
-        # the pure parser, which owns all semantics and error messages
-        self._native = None
-        if pdf_decode:
-            from html_parser_ray.native import get_native_pdf_summary
+        # the pure parser, which owns all semantics and error messages. The
+        # DOM oracle sets it to None.
+        from html_parser_ray.native import get_native_pdf_summary
 
-            self._native = get_native_pdf_summary()
+        self._native = get_native_pdf_summary()
 
     def _fetch(self, media_ref: str) -> bytes:
         """Blob fetch — the only stubbed step (no object store in-sandbox):
@@ -55,7 +48,7 @@ class LayoutParser:
     def parse(self, media_ref: str) -> dict:
         """Layout metadata for ``media_ref``; REAL byte-level PDF parse for
         PDF refs, legacy keyed-hash metadata otherwise."""
-        if self.pdf_decode and media_ref.startswith(PDF_REF_PREFIX):
+        if media_ref.startswith(PDF_REF_PREFIX):
             from html_parser_ray.functions.pdfcodec import PdfError, parse_pdf
 
             payload = self._fetch(media_ref)

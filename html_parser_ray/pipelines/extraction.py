@@ -26,36 +26,37 @@ from html_parser_ray.stages.extract_stage import ExtractFragmentsBatch  # noqa: 
 from html_parser_ray.stages.split import reassemble_group, split_batch  # noqa: F401
 
 
+# most extract actors the default pool starts: past about this many, the
+# upstream read tasks starve for CPUs and the stage waits on its input
+MAX_EXTRACT_ACTORS = 24
+
+
 def _default_concurrency() -> int:
     """Actor-pool size for the CPU-bound extract stage: total CPUs minus a
-    reserve for the read/write stages. Sizing the pool to ALL CPUs starves the
-    upstream read tasks (actors hold their CPU for life) and can stall the
-    whole pipeline — measured 10x wall-time degradation in local tests."""
-    import os
-
+    reserve for the read/write stages, capped at ``MAX_EXTRACT_ACTORS``.
+    Sizing the pool to ALL CPUs starves the upstream read tasks (actors hold
+    their CPU for life) and can stall the whole pipeline — measured 10x
+    wall-time degradation in local tests."""
     import ray
 
     try:
         cpus = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
     except Exception:
         cpus = 0
-    # GRAFT_MAX_SLOTS caps the pool on hosts whose advertised CPUs exceed
-    # the effective parallel units. Default 24 = the r5 steady-state sweep
-    # optimum for THIS stage at 32 CPUs (bench.py run_extraction_bench:
-    # html-only 350k docs/s at 24 slots vs 291k at the old ramp-regime 16;
-    # past 24 the read stage starves) — the bench and the shipped pipeline
-    # deliberately share one knob and one default so the recorded headline
-    # is measured at the concurrency users actually get.
-    cap = int(os.environ.get("GRAFT_MAX_SLOTS", "24"))
-    return max(2, min(cpus - 2, cap))
+    return max(2, min(cpus - 2, MAX_EXTRACT_ACTORS))
 
 
 def read_corpus(path: str, file_format: str = "parquet", **kwargs) -> "ray.data.Dataset":
-    """Read the interleaved corpus. Lance when available (the production
-    format per input_hint), parquet for the sandbox tests."""
+    """Read the interleaved corpus: Lance (the production format per
+    input_hint) or parquet (the sandbox tests). Any other format is a
+    ``ValueError``."""
     if file_format == "lance":
         return ray.data.read_lance(path, **kwargs)
-    return ray.data.read_parquet(path, **kwargs)
+    if file_format == "parquet":
+        return ray.data.read_parquet(path, **kwargs)
+    raise ValueError(
+        f"file_format must be 'parquet' or 'lance', got {file_format!r}"
+    )
 
 
 def build_extraction_pipeline(
@@ -63,8 +64,8 @@ def build_extraction_pipeline(
     *,
     split_giant_docs: bool = False,
     concurrency: int | tuple[int, int] | None = None,
-    # 256 = the r4 probe-calibrated throughput peak (BENCH/BASELINE.md §7:
-    # 150-155k calibrated docs/s vs 116k at 512, 96-118k at 64-192)
+    # 256 rows: large enough that per-batch dispatch is a small share of
+    # the work, small enough that batches pipeline across the actor pool
     batch_size: int = 256,
     emit_metrics: bool = False,
     extractor_kwargs: dict[str, Any] | None = None,
@@ -72,8 +73,9 @@ def build_extraction_pipeline(
     """Compose the extraction pipeline over an input Dataset: one lazy,
     streaming ``map_batches`` over the extract actor pool.
 
-    ``split_giant_docs`` is accepted for existing callers and does not
-    change the plan: giant documents extract in place, like any other.
+    ``split_giant_docs`` does not change the plan: giant documents extract
+    in place, like any other. It is accepted only because the benchmark's
+    ``giant_resumable`` job (``perfbench/job.py``) still passes it.
     """
     kwargs = dict(extractor_kwargs or {})
     kwargs["emit_metrics"] = emit_metrics

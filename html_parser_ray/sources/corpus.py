@@ -4,8 +4,8 @@ Produces the exact input_hint shape (BASELINE.json):
 ``doc_id: string, spans: list<struct<kind, text, media_ref, offset:int32>>``.
 
 Seeded (default 42) and fully deterministic: the same (seed, num_docs) always
-yields byte-identical tables, so the N-cpu and 4N-cpu bench runs consume
-identical input, and tests can pin expected outputs. HTML payloads draw from
+yields byte-identical tables, so runs at any parallelism consume identical
+input, and tests can pin expected outputs. HTML payloads draw from
 generator families mirroring the reference's fixture/test corpora
 (FIXTURES.md §3): selector-fixture clones, malformed, rawtext, svg,
 optional-close, entities/whitespace, attribute-heavy, synthetic pages and
@@ -138,7 +138,7 @@ def generate_documents(
     Generation is per-document deterministic (rng seeded by (seed, doc index))
     so any index range [start, start+num_docs) reproduces the same rows
     regardless of partitioning — the property the resumable writer and the
-    two-parallelism bench depend on.
+    benchmark depend on.
 
     ``giant_doc_every > 0`` inserts a pathological giant document every that
     many rows (alternating: one multi-MB html span / hundreds of spans).

@@ -59,8 +59,6 @@ class ExtractSpansBatch:
         layout_model: str = "layout-stub-v0",
         drop_whitespace_text: bool = False,
         emit_metrics: bool = False,
-        layout_pdf_decode: bool = True,
-        layout_memo: bool = True,
     ) -> None:
         cfg = ExtractConfig(
             max_link_density=max_link_density, min_text_len=min_text_len
@@ -69,8 +67,6 @@ class ExtractSpansBatch:
             config=cfg,
             layout_model=layout_model,
             drop_whitespace_text=drop_whitespace_text,
-            layout_pdf_decode=layout_pdf_decode,
-            layout_memo=layout_memo,
         )
         # emit_metrics only adds the per-row ``metrics`` column
         self.emit_metrics = emit_metrics

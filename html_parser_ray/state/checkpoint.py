@@ -95,12 +95,17 @@ def run_resumable_extraction(
     file_format: str = "parquet",
     **pipeline_kwargs,
 ) -> dict:
-    """Wave-checkpointed extraction; safe to re-run after a crash."""
+    """Wave-checkpointed extraction; safe to re-run after a crash.
+    ``num_partitions`` and ``wave_size`` must be positive: a ``ValueError``
+    names the bad one before anything is created under ``output_root``."""
     from html_parser_ray.pipelines.extraction import (
         build_extraction_pipeline,
         read_corpus,
     )
 
+    for name, value in (("num_partitions", num_partitions), ("wave_size", wave_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     os.makedirs(_manifest_dir(output_root), exist_ok=True)
     done = completed_partitions(output_root)
     if done:
@@ -258,8 +263,8 @@ def verify_sample(
     review found a defaults-only check could report false mismatches
     against a run that used non-default extractor options).
     ``extractor_kwargs`` are ``ExtractSpansBatch`` keywords, as the run took
-    them; the oracle takes the run's config, layout model, whitespace mode
-    and PDF-decode mode from them.
+    them; the oracle takes the run's config, layout model and whitespace
+    mode from them.
 
     Returns {checked, mismatches} — mismatches must be 0; ``checked`` <
     the sample size means docs vanished from the output.
@@ -303,7 +308,6 @@ def verify_sample(
         layout_model=run.layout.model_name,
         drop_whitespace_text=run.drop_whitespace_text,
         use_fused=False,
-        layout_pdf_decode=run.layout.pdf_decode,
         layout_memo=False,
     )
     ex.layout._native = None

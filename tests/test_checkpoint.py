@@ -143,6 +143,25 @@ def test_resume_with_different_num_partitions_refused(tmp_path):
     assert completed_partitions(out) == {0, 1, 2, 3}
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"wave_size": -1}, "wave_size"),
+        ({"wave_size": 0}, "wave_size"),
+        ({"num_partitions": 0}, "num_partitions"),
+        ({"num_partitions": -4}, "num_partitions"),
+    ],
+)
+def test_non_positive_partition_arguments_refused(tmp_path, kwargs, name):
+    """A wave or partition count below 1 names the argument and creates
+    nothing under the output root (it used to write nothing and report
+    success, or fail inside ``range()``)."""
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=name):
+        run_resumable_extraction(str(tmp_path / "corpus"), str(out), **kwargs)
+    assert not out.exists()
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_verify_sample_detects_vanished_doc(tmp_path):
     """A document missing from the output entirely must count as a mismatch

@@ -408,23 +408,24 @@ def test_layout_memo_evicts_least_recently_used(monkeypatch):
 
 
 def test_layout_memo_on_and_off_decode_counts():
-    """With the memo on an actor decodes each distinct ref once; with
-    ``layout_memo=False`` it decodes every unique ref of every batch."""
+    """With the memo on, an actor or a per-document extractor decodes each
+    distinct ref once; with ``layout_memo=False`` (the oracle) an extractor
+    decodes every media span."""
     from html_parser_ray.stages.extract_stage import ExtractSpansBatch
 
     a, b, c = (f"media://pdf/{i:06d}" for i in (1, 2, 3))
     batches = [_media_rows([[a, b, a], [b]]), _media_rows([[a, c], [c, a]])]
 
-    for memo, want in ((True, [a, b, c]), (False, [a, b, a, c])):
-        stage = ExtractSpansBatch(layout_memo=memo)
-        decoded = _decode_log(stage.extractor)
-        for batch in batches:
-            _assert_oracle_equal(batch, stage(batch))
-        assert decoded == want
-
-    ex = SpanExtractor()
-    decoded = _decode_log(ex)
+    stage = ExtractSpansBatch()
+    decoded = _decode_log(stage.extractor)
     for batch in batches:
-        for spans in batch.column("spans").to_pylist():
-            ex.extract_document(spans)
+        _assert_oracle_equal(batch, stage(batch))
     assert decoded == [a, b, c]
+
+    for memo, want in ((True, [a, b, c]), (False, [a, b, a, b, a, c, c, a])):
+        ex = SpanExtractor(layout_memo=memo)
+        decoded = _decode_log(ex)
+        for batch in batches:
+            for spans in batch.column("spans").to_pylist():
+                ex.extract_document(spans)
+        assert decoded == want

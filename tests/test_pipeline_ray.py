@@ -33,6 +33,16 @@ def test_corpus_schema_and_giant_tail():
     assert len(spans11) == 400
 
 
+def test_read_corpus_rejects_unknown_format(tmp_path):
+    """Only parquet and lance are readable; any other format is refused
+    instead of being read as parquet."""
+    from html_parser_ray.pipelines.extraction import read_corpus
+
+    for fmt in ("csv", "Parquet", ""):
+        with pytest.raises(ValueError, match="file_format"):
+            read_corpus(str(tmp_path), file_format=fmt)
+
+
 def test_split_and_reassemble_roundtrip_local():
     """Split + extract + reassemble must equal direct extraction (no Ray)."""
     t = generate_documents(8, seed=42, giant_doc_every=4, giant_doc_html_bytes=30_000)

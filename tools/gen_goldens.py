@@ -8,7 +8,8 @@ salt-free hashes, seeded LSH/IVF):
    execution path (mirrors the reference's expected-value matrices,
    ref: src/html/document.zig:977-1053):
    - ``extract_corpus_n{50,200}.parquet``: flattened span table of the seeded
-     interleaved corpus, via ``SpanExtractor`` directly (no Ray).
+     interleaved corpus, via the DOM oracle (``SpanExtractor`` with no
+     native kernel, no layout memo and no native PDF summary; no Ray).
    - ``langid_counts_sf001.parquet`` / ``doc_fingerprints_sf001.parquet``:
      plain-pandas twins of the map-side pipelines over sf0.01 documents.
    - ``minhash_lsh_dupes_sf001.parquet`` / ``simhash_dupes_sf001.parquet``:
@@ -41,12 +42,14 @@ SF001 = "/root/testdata/sf0.01"
 
 
 def gen_extract_corpus(n: int) -> pa.Table:
-    """Serial (no-Ray) flattened extraction of the seeded corpus."""
+    """Serial (no-Ray) flattened extraction of the seeded corpus by the DOM
+    oracle, the configuration ``verify_sample`` checks against."""
     from html_parser_ray.extract.extractor import SpanExtractor
     from html_parser_ray.sources.corpus import generate_documents
 
     tbl = generate_documents(n, seed=42)
-    ex = SpanExtractor()
+    ex = SpanExtractor(use_fused=False, layout_memo=False)
+    ex.layout._native = None
     rows_doc, rows_k, rows_t, rows_m, rows_o = [], [], [], [], []
     for doc_id, spans in zip(
         tbl.column("doc_id").to_pylist(), tbl.column("spans").to_pylist()
