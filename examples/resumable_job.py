@@ -1,8 +1,10 @@
 """Resumable-extraction example: checkpoint manifests + partition skip.
 
-Runs the wave-checkpointed extraction writer twice over the same input; the
-second run must skip every completed partition (the lineage manifests are
-the restart log). Run:
+Runs the checkpointed extraction writer twice over the same input. Each run
+is one streaming execution over the uncommitted partitions (contiguous
+ranges of the input's parquet files), committing each partition's manifest
+as soon as its rows are written; the second run must skip every completed
+partition (the lineage manifests are the restart log). Run:
 
     python examples/resumable_job.py
 """

@@ -38,7 +38,6 @@ def main(argv: list[str] | None = None) -> int:
     p_extract.add_argument("--output", required=True, help="output root")
     p_extract.add_argument("--format", default="parquet", choices=["parquet", "lance"])
     p_extract.add_argument("--num-partitions", type=int, default=64)
-    p_extract.add_argument("--wave-size", type=int, default=16)
     p_extract.add_argument("--batch-size", type=int, default=64)
     p_extract.add_argument("--no-resume", action="store_true",
                            help="ignore existing manifest (reprocess everything)")
@@ -188,7 +187,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.input,
                 args.output,
                 num_partitions=args.num_partitions,
-                wave_size=args.wave_size,
                 file_format=args.format,
                 batch_size=args.batch_size,
             )

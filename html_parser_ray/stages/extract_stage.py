@@ -4,12 +4,13 @@
 ``ds.map_batches(ExtractSpansBatch, batch_format="pyarrow", concurrency=N)``:
 expensive setup (HTML kernel, heuristic tables, layout model) happens once
 per actor in ``__init__``; ``__call__`` processes one Arrow batch in one
-emit. The HTML spans of a batch go through ONE kernel call over the Arrow
-values buffer. The emit then gathers by span, not by byte: the kernel's
-blocks, the Arrow-normalized text spans and one layout JSON per unique
-media ref form one binary span pool, every output span is one int64 index
-into it, and one ``pc.take`` builds the output text (the same index gives
-``kind`` and ``media_ref``).
+emit, and every input column other than ``spans`` passes through to the
+output unchanged. The HTML spans of a batch go through ONE kernel call over
+the Arrow values buffer. The emit then gathers by span, not by byte: the
+kernel's blocks, the Arrow-normalized text spans and one layout JSON per
+unique media ref form one binary span pool, every output span is one int64
+index into it, and one ``pc.take`` builds the output text (the same index
+gives ``kind`` and ``media_ref``).
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ INT32_OFFSET_MAX = (1 << 31) - 1
 
 
 class ExtractSpansBatch:
-    """Actor-pool extraction stage (input_hint schema in, spans_out schema out).
+    """Actor-pool extraction stage: ``doc_id`` and ``spans`` in; ``doc_id``,
+    ``spans_out``, then every other input column (unchanged, in input
+    order) out, plus ``metrics`` when ``emit_metrics`` is set.
 
     Parameters are plain values (passed via ``fn_constructor_kwargs``) so the
     actor constructs its own state — nothing heavy is captured in the closure.
@@ -278,6 +281,10 @@ class ExtractSpansBatch:
             pa.array(out_offsets.astype(np.int32)), struct_arr
         )
         cols = {"doc_id": batch.column("doc_id"), "spans_out": spans_out}
+        # every other input column passes through unchanged, in input order
+        for name in batch.column_names:
+            if name != "spans" and name not in cols:
+                cols[name] = batch.column(name)
         if self.emit_metrics:
             # html spans before each row bound
             html_bounds = np.searchsorted(html_idx, row_bounds)
@@ -299,16 +306,8 @@ class ExtractSpansBatch:
 
 
 class ExtractFragmentsBatch(ExtractSpansBatch):
-    """Same extraction over split fragments: passes the fragment bookkeeping
-    columns (``frag_seq``, ``n_frags``) through for ordered reassembly.
+    """Same extraction over split fragments; the fragment bookkeeping
+    columns (``frag_seq``, ``n_frags``) pass through like any other column.
 
     Off the pipeline path (giant documents extract in place); kept only for
     the benchmark's tracing shims, which import it."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:  # type: ignore[override]
-        out = super().__call__(
-            batch.select(["doc_id", "spans"])
-        )
-        for name in ("frag_seq", "n_frags"):
-            out = out.append_column(name, batch.column(name))
-        return out

@@ -4,16 +4,25 @@ per partition instead of per call.
 
 The extract stage (``emit_metrics=True``) attaches a per-document metrics
 struct; this module reduces it batch-locally (combiner pattern) and returns
-one totals row plus optional per-partition rows keyed by the checkpoint
-partitioner.
+one totals row or one row per hash partition of ``doc_id``
+(``partition_of``).
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
 _FIELDS = ("spans_in", "spans_out", "html_bytes", "parse_errors")
+
+
+def partition_of(doc_id: str, num_partitions: int) -> int:
+    """Stable hash partition of a doc id: md5, never Python's seeded
+    ``hash``."""
+    h = hashlib.md5(doc_id.encode("utf-8")).digest()
+    return int.from_bytes(h[:8], "big") % num_partitions
 
 
 def _acc_table(acc: "dict[int, list[int]]") -> pa.Table:
@@ -31,10 +40,9 @@ def rollup_metrics(extracted, by_partition: int | None = None):
     """Aggregate the ``metrics`` column of an extraction output Dataset.
 
     Returns a pyarrow Table: one row of totals (``partition_id = -1``) or one
-    row per partition when ``by_partition`` (a partition count) is given.
+    row per ``partition_of(doc_id, by_partition)`` when ``by_partition`` (a
+    partition count) is given.
     """
-    from html_parser_ray.state.checkpoint import partition_of
-
     if by_partition is not None and by_partition <= 0:
         raise ValueError(f"by_partition must be a positive count, got {by_partition}")
 

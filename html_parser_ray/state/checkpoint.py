@@ -2,21 +2,25 @@
 
 Layout under ``output_root``:
 
-    _part=<k>/...parquet       one directory per deterministic partition
-                               (written by workers via write_parquet)
-    _manifest/part-<k>.json    lineage record committed AFTER the partition's
-                               data lands (write-then-commit ordering)
+    _part=<k>/<digest>.parquet  one directory per partition, written by the
+                                workers one file per extracted batch
+    _manifest/part-<k>.json     lineage record committed AFTER the partition's
+                                data lands (write-then-commit ordering)
 
-Partition id = stable md5 hash of ``doc_id`` mod ``num_partitions`` (never
-Python's seeded ``hash``). Work proceeds in *waves* of partitions. Each wave
-is one streaming Ray Data execution: read -> filter to the wave's partitions
-(at 100 TB this filter is a predicate pushdown on a precomputed partition
-column in Lance; here a cheap ``map_batches`` filter) -> extract ->
-partitioned ``write_parquet`` from the workers (no driver materialization).
-The driver then commits one manifest record per finished partition, with
-row and span counts read from the written files' parquet footers and span
-lists by pyarrow, so a commit starts no Ray job. A crash loses at most the
-current wave; a resumed run skips every committed partition.
+A partition is a fixed set of input files: the input's parquet files in
+sorted order, cut into ``num_partitions`` contiguous ranges (a partition is
+empty when there are fewer files than partitions). Its expected row count is
+the sum of its files' parquet footer counts, so no document is hashed to
+find its partition.
+
+A run is ONE streaming Ray Data execution over the files of every
+uncommitted partition: read (with each row's file path) -> tag each row with
+its partition -> extract -> a write map that writes each batch's rows of
+partition ``k`` under ``_part=k/`` and returns one small row per file
+written. The driver iterates those rows and commits partition ``k`` as soon
+as its written rows equal its expected rows. A crash loses only the
+uncommitted partitions, whose files a resumed run clears before it redoes
+them; a resumed run skips every committed partition.
 """
 
 from __future__ import annotations
@@ -34,10 +38,15 @@ import pyarrow.parquet as pq
 
 ENGINE_VERSION = "html_parser_ray-0.1.0"
 
-
-def partition_of(doc_id: str, num_partitions: int) -> int:
-    h = hashlib.md5(doc_id.encode("utf-8")).digest()
-    return int.from_bytes(h[:8], "big") % num_partitions
+# one row per data file a write task lands
+WRITTEN_SCHEMA = pa.schema(
+    [
+        ("part", pa.int32()),
+        ("rows", pa.int64()),
+        ("spans", pa.int64()),
+        ("file", pa.string()),
+    ]
+)
 
 
 def _manifest_dir(root: str) -> str:
@@ -60,12 +69,35 @@ def completed_partitions(output_root: str) -> set[int]:
     return out
 
 
-def add_partition_column(batch: pa.Table, num_partitions: int) -> pa.Table:
-    parts = [
-        partition_of(d, num_partitions)
-        for d in batch.column("doc_id").to_pylist()
+def partition_files(input_path: str, num_partitions: int) -> "list[list[dict]]":
+    """The parquet files under the directory ``input_path`` (paths relative
+    to it, sorted) cut into ``num_partitions`` contiguous ranges; each file
+    comes with its footer row count: ``[[{"path", "rows"}, ...], ...]``."""
+    names = sorted(
+        os.path.relpath(os.path.join(d, f), input_path)
+        for d, _, files in os.walk(input_path)
+        for f in files
+        if f.endswith(".parquet") and not f.startswith((".", "_"))
+    )
+    if not names:
+        raise FileNotFoundError(f"no parquet files under {input_path!r}")
+    files = [
+        {"path": n, "rows": pq.read_metadata(os.path.join(input_path, n)).num_rows}
+        for n in names
     ]
-    return batch.append_column("_part", pa.array(parts, type=pa.int32()))
+    n = len(files)
+    return [
+        files[k * n // num_partitions : (k + 1) * n // num_partitions]
+        for k in range(num_partitions)
+    ]
+
+
+def _fsync_dir(path: str) -> None:
+    dirfd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(dirfd)
+    finally:
+        os.close(dirfd)
 
 
 def _commit_manifest(output_root: str, part: int, record: dict) -> None:
@@ -80,11 +112,66 @@ def _commit_manifest(output_root: str, part: int, record: dict) -> None:
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, os.path.join(mdir, f"part-{part}.json"))
-    dirfd = os.open(mdir, os.O_RDONLY)
-    try:
-        os.fsync(dirfd)
-    finally:
-        os.close(dirfd)
+    _fsync_dir(mdir)
+
+
+def tag_partitions(batch: pa.Table, paths: "list[str]", parts: "list[int]") -> pa.Table:
+    """Replace the read's ``path`` column (file ``paths[i]`` belongs to
+    partition ``parts[i]``) by an int32 ``_part`` column."""
+    idx = pc.index_in(batch.column("path"), value_set=pa.array(paths))
+    part = pc.take(pa.array(parts, type=pa.int32()), idx)
+    return batch.drop_columns(["path"]).append_column("_part", part)
+
+
+def write_partitions(batch: pa.Table, output_root: str) -> pa.Table:
+    """Write an extracted batch's rows of each partition ``k`` to
+    ``_part=k/<name>.parquet`` (without ``_part``) and return one
+    ``WRITTEN_SCHEMA`` row per file. The name is a digest of the file's
+    first and last doc id and its row count, so a re-executed write of the
+    same rows overwrites its own file; the rename makes a file appear
+    whole or not at all."""
+    parts = batch.column("_part")
+    data = batch.drop_columns(["_part"])
+    out: "dict[str, list]" = {name: [] for name in WRITTEN_SCHEMA.names}
+    for k in pc.unique(parts).to_pylist():
+        rows = data.filter(pc.equal(parts, k))
+        ids = rows.column("doc_id")
+        key = f"{ids[0].as_py()}\0{ids[-1].as_py()}\0{rows.num_rows}"
+        name = hashlib.md5(key.encode("utf-8")).hexdigest() + ".parquet"
+        pdir = os.path.join(output_root, f"_part={k}")
+        os.makedirs(pdir, exist_ok=True)
+        tmp = os.path.join(pdir, f".{name}.{os.getpid()}.tmp")
+        pq.write_table(rows, tmp)
+        os.replace(tmp, os.path.join(pdir, name))
+        spans = pc.sum(pc.list_value_length(rows.column("spans_out"))).as_py()
+        out["part"].append(k)
+        out["rows"].append(rows.num_rows)
+        out["spans"].append(spans or 0)
+        out["file"].append(name)
+    return pa.table(out, schema=WRITTEN_SCHEMA)
+
+
+def _check_resume(output_root: str, plan: "list[list[dict]]") -> None:
+    """Refuse to resume over committed manifests written under another
+    partition count or another input file list: the file->partition
+    mapping would change (duplicates + gaps)."""
+    for rec in manifest_records(output_root):
+        prev_np = rec.get("num_partitions")
+        if prev_np != len(plan):
+            raise ValueError(
+                f"resume with num_partitions={len(plan)} but the "
+                f"committed manifests were written with {prev_np}; the "
+                "file->partition mapping would change (duplicates + gaps). "
+                "Re-run with the original count or start a fresh output root."
+            )
+        p = rec["partition_id"]
+        if rec.get("input_files") != plan[p]:
+            raise ValueError(
+                f"the input files of committed partition {p} changed since "
+                "its commit (files added, removed or rewritten); resuming "
+                "would duplicate or lose rows. Restore the original input or "
+                "start a fresh output root."
+            )
 
 
 def run_resumable_extraction(
@@ -95,115 +182,135 @@ def run_resumable_extraction(
     file_format: str = "parquet",
     **pipeline_kwargs,
 ) -> dict:
-    """Wave-checkpointed extraction; safe to re-run after a crash.
-    ``num_partitions`` and ``wave_size`` must be positive: a ``ValueError``
-    names the bad one before anything is created under ``output_root``."""
-    from html_parser_ray.pipelines.extraction import (
-        build_extraction_pipeline,
-        read_corpus,
-    )
+    """Checkpointed extraction of a directory of parquet files; safe to
+    re-run after a crash. ``num_partitions`` and ``wave_size`` must be
+    positive: a ``ValueError`` names the bad one before anything is created
+    under ``output_root``. ``wave_size`` does not change the plan: every
+    uncommitted partition runs in one execution. It is accepted only
+    because the benchmark's ``giant_resumable`` job (``perfbench/job.py``)
+    still passes it.
+
+    Each manifest records its partition's input files with their row counts,
+    ``row_count`` and ``span_count`` as written, and ``wave_wall_s``: the
+    seconds since the run's previous commit (for the first, since the
+    execution started)."""
+    from html_parser_ray.pipelines import extraction
 
     for name, value in (("num_partitions", num_partitions), ("wave_size", wave_size)):
         if value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if file_format != "parquet":
+        raise ValueError(
+            "resumable runs partition the input by parquet file, so "
+            f"file_format must be 'parquet', got {file_format!r} (a Lance "
+            "input would partition by fragment, which is not implemented)"
+        )
+    plan = partition_files(input_path, num_partitions)
     os.makedirs(_manifest_dir(output_root), exist_ok=True)
+    _check_resume(output_root, plan)
     done = completed_partitions(output_root)
-    if done:
-        # the md5-mod doc->partition mapping is a function of
-        # num_partitions: resuming under a different count would skip some
-        # docs and duplicate others — refuse loudly
-        sample_part = next(iter(done))
-        with open(
-            os.path.join(_manifest_dir(output_root), f"part-{sample_part}.json")
-        ) as f:
-            rec = json.load(f)
-        prev_np = rec.get("num_partitions")
-        if prev_np is not None and prev_np != num_partitions:
-            raise ValueError(
-                f"resume with num_partitions={num_partitions} but the "
-                f"committed manifests were written with {prev_np}; the "
-                "doc->partition mapping would change (duplicates + gaps). "
-                "Re-run with the original count or start a fresh output root."
-            )
     todo = [p for p in range(num_partitions) if p not in done]
+    # a crashed previous run may have left partial data for uncommitted
+    # partitions — clear them so the re-run cannot duplicate rows
+    for p in todo:
+        stale = os.path.join(output_root, f"_part={p}")
+        if os.path.isdir(stale):
+            shutil.rmtree(stale)
 
-    total_rows = 0
-    waves = [todo[i : i + wave_size] for i in range(0, len(todo), wave_size)]
-    for wave in waves:
-        t0 = time.perf_counter()
-        # a crashed previous run may have left partial data for uncommitted
-        # partitions — clear them so the re-run cannot duplicate rows
-        for p in wave:
-            stale = os.path.join(output_root, f"_part={p}")
-            if os.path.isdir(stale):
-                shutil.rmtree(stale)
-        wave_arr = pa.array(wave, type=pa.int32())
+    expected = {p: sum(f["rows"] for f in plan[p]) for p in todo}
+    written = {p: [0, 0, []] for p in todo}  # rows, spans, file names
+    last_commit = time.perf_counter()
 
-        def keep_wave(batch: pa.Table) -> pa.Table:
-            tagged = add_partition_column(batch, num_partitions)
-            keep = pc.is_in(tagged.column("_part"), wave_arr)
-            return tagged.filter(keep).drop_columns(["_part"])
-
-        def retag(batch: pa.Table) -> pa.Table:
-            return add_partition_column(batch, num_partitions)
-
-        # one streaming execution per wave; workers write partitioned
-        # parquet directly (no driver buffering)
-        out = build_extraction_pipeline(
-            read_corpus(input_path, file_format=file_format).map_batches(
-                keep_wave, batch_format="pyarrow"
-            ),
-            **pipeline_kwargs,
-        ).map_batches(retag, batch_format="pyarrow")
-        out.write_parquet(output_root, partition_cols=["_part"])
-        # a finished actor pool stays in a reference cycle until GC and
-        # keeps holding its CPUs, so the next wave's pool would wait for
-        # them: drop the wave's Dataset and collect now
-        del out
-        gc.collect()
-
-        wall = round(time.perf_counter() - t0, 3)
-        for p in wave:
-            rows, spans = _written_counts(os.path.join(output_root, f"_part={p}"))
-            _commit_manifest(
-                output_root,
-                p,
-                {
-                    "partition_id": p,
-                    "num_partitions": num_partitions,
-                    "row_count": rows,
-                    "span_count": spans,
-                    "wave_wall_s": wall,
-                    "engine_version": ENGINE_VERSION,
-                },
+    def commit(p: int) -> None:
+        nonlocal last_commit
+        rows, spans, names = written[p]
+        pdir = os.path.join(output_root, f"_part={p}")
+        on_disk = set()
+        if names:  # an empty partition has no directory
+            on_disk = {n for n in os.listdir(pdir) if n.endswith(".parquet")}
+        if on_disk != set(names):
+            raise RuntimeError(
+                f"partition {p} holds files {sorted(on_disk)} but its writes "
+                f"reported {sorted(set(names))}; not committed"
             )
-            total_rows += rows
+        now = time.perf_counter()
+        _commit_manifest(
+            output_root,
+            p,
+            {
+                "partition_id": p,
+                "num_partitions": num_partitions,
+                "input_files": plan[p],
+                "row_count": rows,
+                "span_count": spans,
+                "wave_wall_s": round(now - last_commit, 3),
+                "engine_version": ENGINE_VERSION,
+            },
+        )
+        last_commit = now
 
+    live = [p for p in todo if expected[p]]
+    for p in todo:
+        if not expected[p]:  # no input rows: commits without a Ray job
+            commit(p)
+    if live:
+        paths = [
+            os.path.abspath(os.path.join(input_path, f["path"]))
+            for p in live
+            for f in plan[p]
+        ]
+        parts = [p for p in live for _ in plan[p]]
+        ds = extraction.read_corpus(paths, include_paths=True).map_batches(
+            tag_partitions,
+            fn_kwargs={"paths": paths, "parts": parts},
+            batch_format="pyarrow",
+        )
+        ds = extraction.build_extraction_pipeline(ds, **pipeline_kwargs).map_batches(
+            write_partitions,
+            fn_kwargs={"output_root": output_root},
+            batch_format="pyarrow",
+            batch_size=None,
+        )
+        try:
+            for row in ds.iter_rows():
+                p = row["part"]
+                acc = written[p]
+                acc[0] += row["rows"]
+                acc[1] += row["spans"]
+                acc[2].append(row["file"])
+                if acc[0] > expected[p]:
+                    # rows past the input's count: if this run committed
+                    # the partition, it now holds extra rows, so the commit
+                    # is withdrawn
+                    mdir = _manifest_dir(output_root)
+                    manifest = os.path.join(mdir, f"part-{p}.json")
+                    if os.path.exists(manifest):
+                        os.remove(manifest)
+                        _fsync_dir(mdir)
+                    raise RuntimeError(
+                        f"partition {p} received {acc[0]} rows but its input "
+                        f"files hold {expected[p]}; not committed"
+                    )
+                if acc[0] == expected[p]:
+                    commit(p)
+        finally:
+            # a finished actor pool stays in a reference cycle until GC and
+            # keeps holding its CPUs, so the caller's next Ray job would
+            # wait for them: drop the Dataset and collect now
+            del ds
+            gc.collect()
+    short = [p for p in live if written[p][0] != expected[p]]
+    if short:
+        raise RuntimeError(
+            "partitions "
+            + ", ".join(f"{p} ({written[p][0]} of {expected[p]} rows)" for p in short)
+            + " ended short; not committed"
+        )
     return {
         "partitions_done": len(todo),
         "partitions_skipped": len(done),
-        "rows": total_rows,
+        "rows": sum(expected.values()),
     }
-
-
-# the one int32 leaf of ``spans_out`` (standard parquet list naming): its
-# list lengths are the span counts, without reading any span text
-_SPAN_LEAF = "spans_out.list.element.offset"
-
-
-def _written_counts(part_dir: str) -> "tuple[int, int]":
-    """(rows, spans) of one written partition, read in the driver with
-    pyarrow: rows from the parquet footers, spans from the ``spans_out``
-    list lengths. Starts no Ray job."""
-    rows = spans = 0
-    if os.path.isdir(part_dir):
-        for name in os.listdir(part_dir):
-            if name.endswith(".parquet"):
-                f = pq.ParquetFile(os.path.join(part_dir, name))
-                rows += f.metadata.num_rows
-                lengths = pc.list_value_length(f.read(columns=[_SPAN_LEAF]).column(0))
-                spans += int(pc.sum(lengths).as_py() or 0)
-    return rows, spans
 
 
 def read_extraction_output(output_root: str):

@@ -9,10 +9,10 @@ import os
 import pytest
 
 from html_parser_ray.sources.corpus import write_corpus_parquet
+from html_parser_ray.stages.metrics import partition_of
 from html_parser_ray.state.checkpoint import (
     completed_partitions,
     manifest_records,
-    partition_of,
     read_extraction_output,
     run_resumable_extraction,
 )
@@ -162,6 +162,83 @@ def test_non_positive_partition_arguments_refused(tmp_path, kwargs, name):
     assert not out.exists()
 
 
+def test_lance_input_refused(tmp_path):
+    """Resumable runs partition by parquet file: a Lance input is a
+    ``ValueError`` that says so, raised before anything is created."""
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="Lance"):
+        run_resumable_extraction(str(tmp_path / "corpus"), str(out), file_format="lance")
+    assert not out.exists()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_fewer_files_than_partitions_commits_empty_partitions(tmp_path):
+    """2 input files over 5 partitions: the 3 partitions without a file
+    commit with ``row_count`` 0 and no input files, and every manifest
+    records its partition's files with their footer counts."""
+    inp = str(tmp_path / "corpus")
+    out = str(tmp_path / "out")
+    write_corpus_parquet(inp, 30, seed=42, rows_per_file=15)
+    res = run_resumable_extraction(inp, out, num_partitions=5, batch_size=8)
+    assert res == {"partitions_done": 5, "partitions_skipped": 0, "rows": 30}
+    recs = manifest_records(out)
+    assert [r["input_files"] for r in recs] == [
+        [],
+        [],
+        [{"path": "part-00000.parquet", "rows": 15}],
+        [],
+        [{"path": "part-00001.parquet", "rows": 15}],
+    ]
+    assert [r["row_count"] for r in recs] == [0, 0, 15, 0, 15]
+    assert all(isinstance(r["wave_wall_s"], float) for r in recs)
+    assert read_extraction_output(out).count() == 30
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_resume_with_changed_input_files_refused(tmp_path):
+    """A partition is a fixed set of input files: a resume after an input
+    file was added or removed is refused (it would duplicate or lose
+    rows), and the committed output is left as it was."""
+    inp = str(tmp_path / "corpus")
+    out = str(tmp_path / "out")
+    write_corpus_parquet(inp, 40, seed=42, rows_per_file=10)
+    run_resumable_extraction(inp, out, num_partitions=2, batch_size=8)
+    before = manifest_records(out)
+
+    extra = os.path.join(inp, "part-00009.parquet")
+    os.link(os.path.join(inp, "part-00000.parquet"), extra)
+    with pytest.raises(ValueError, match="input files"):
+        run_resumable_extraction(inp, out, num_partitions=2, batch_size=8)
+    os.remove(extra)
+    os.remove(os.path.join(inp, "part-00003.parquet"))
+    with pytest.raises(ValueError, match="input files"):
+        run_resumable_extraction(inp, out, num_partitions=2, batch_size=8)
+    assert manifest_records(out) == before
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_partition_receiving_a_batch_twice_raises_uncommitted(tmp_path, monkeypatch):
+    """A writer that writes every batch twice (as a retried write with the
+    same rows would) makes each partition's written rows exceed its
+    input's: the run raises and leaves no manifest."""
+    import pyarrow as pa
+
+    from html_parser_ray.state import checkpoint
+
+    real = checkpoint.write_partitions
+
+    def write_twice(batch, output_root):
+        return pa.concat_tables([real(batch, output_root), real(batch, output_root)])
+
+    monkeypatch.setattr(checkpoint, "write_partitions", write_twice)
+    inp = str(tmp_path / "corpus")
+    out = str(tmp_path / "out")
+    write_corpus_parquet(inp, 30, seed=42, rows_per_file=15)
+    with pytest.raises(RuntimeError, match="rows but its input files hold"):
+        run_resumable_extraction(inp, out, num_partitions=2, batch_size=8)
+    assert completed_partitions(out) == set()
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_verify_sample_detects_vanished_doc(tmp_path):
     """A document missing from the output entirely must count as a mismatch
@@ -199,9 +276,11 @@ def test_verify_sample_detects_vanished_doc(tmp_path):
 @pytest.mark.usefixtures("ray_session")
 def test_giant_doc_resumable_run(tmp_path):
     """Giant documents (MB-scale html and 400-span docs) through the
-    resumable writer in several waves: every doc exactly once, span
-    sequences equal to the serial extractor's, and each manifest's counts
-    equal to what its partition's files hold."""
+    resumable writer, 3 input files over 4 partitions (one empty): every doc
+    exactly once, span sequences equal to the serial extractor's, and each
+    manifest's counts equal to what its partition's files hold."""
+    import glob
+
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
@@ -233,7 +312,10 @@ def test_giant_doc_resumable_run(tmp_path):
     recs = manifest_records(out)
     assert len(recs) == 4
     for rec in recs:
-        back = pq.read_table(os.path.join(out, f"_part={rec['partition_id']}"))
-        assert rec["row_count"] == back.num_rows
-        spans = pc.sum(pc.list_value_length(back.column("spans_out"))).as_py() or 0
+        files = glob.glob(os.path.join(out, f"_part={rec['partition_id']}", "*.parquet"))
+        assert rec["row_count"] == sum(pq.read_metadata(f).num_rows for f in files)
+        spans = sum(
+            pc.sum(pc.list_value_length(pq.read_table(f).column("spans_out"))).as_py() or 0
+            for f in files
+        )
         assert rec["span_count"] == spans

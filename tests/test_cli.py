@@ -28,7 +28,7 @@ def test_cli_generate_and_extract(tmp_path):
     ext = subprocess.run(
         [sys.executable, "-m", "html_parser_ray.cli", "extract",
          "--input", corpus, "--output", out,
-         "--num-partitions", "4", "--wave-size", "4", "--batch-size", "16"],
+         "--num-partitions", "4", "--batch-size", "16"],
         capture_output=True, text=True, env=env, cwd="/root/repo", timeout=300,
     )
     assert ext.returncode == 0, ext.stderr[-2000:]
@@ -46,7 +46,7 @@ def test_cli_verify(tmp_path):
     for args in (
         ["generate-corpus", "--output", corpus, "--num-docs", "20"],
         ["extract", "--input", corpus, "--output", out,
-         "--num-partitions", "2", "--wave-size", "2", "--batch-size", "8"],
+         "--num-partitions", "2", "--batch-size", "8"],
         ["verify", "--input", corpus, "--output", out, "--sample-docs", "10"],
     ):
         p = subprocess.run(

@@ -143,7 +143,8 @@ def _shape_batches() -> "list[pa.Table]":
     """Batch shapes the stage's span pool and pool index must handle:
     NULL and empty rows (one NULL row backed by a non-empty sub-list), NULL
     fields and unknown kinds, spans that emit nothing, single-kind batches
-    and repeated refs."""
+    and repeated refs. Each table also carries an int32 column ``n`` (with
+    a NULL) that the stage must pass through."""
     html = "<div><p>alpha  beta</p><p>gamma</p></div>"
     pdf, pdf2, img = "media://pdf/000001", "media://pdf/000002", "media://img/x"
     batches = [
@@ -178,7 +179,22 @@ def _shape_batches() -> "list[pa.Table]":
         pa.array([0, 1, 3, 4], pa.int32()), values, mask=pa.array([False, True, False])
     )
     tables.append(pa.table({"doc_id": ["a", "b", "c"], "spans": null_backed}))
-    return tables
+    return [
+        t.append_column(
+            "n", pa.array([None, *range(7, 7 + t.num_rows - 1)], type=pa.int32())
+        )
+        for t in tables
+    ]
+
+
+def _shapes() -> "list[pa.Table]":
+    """Each of ``_shape_batches`` whole, as a slice at a nonzero offset and
+    as a two-chunk table."""
+    shapes = []
+    for t in _shape_batches():
+        half = t.num_rows // 2
+        shapes += [t, t.slice(1), pa.concat_tables([t.slice(0, half), t.slice(half)])]
+    return shapes
 
 
 def test_scalar_config_variants_extractor_and_stage():
@@ -189,10 +205,7 @@ def test_scalar_config_variants_extractor_and_stage():
     fed whole, as a slice at a nonzero offset and as a two-chunk table, to
     the native kernel and to the DOM adapter."""
     sources = list(EDGE_CASES) + _corpus_sources(per_family=10)
-    shapes = []
-    for t in _shape_batches():
-        half = t.num_rows // 2
-        shapes += [t, t.slice(1), pa.concat_tables([t.slice(0, half), t.slice(half)])]
+    shapes = _shapes()
     for cfg in [ExtractConfig(), *SCALAR_CONFIGS]:
         ex = SpanExtractor(config=cfg)
         assert ex._native is not None
@@ -217,9 +230,40 @@ def test_scalar_config_variants_extractor_and_stage():
             want = _oracle_rows(shape, cfg)
             for st in (stage, dom_stage):
                 out = st(shape)
+                assert out.column_names == ["doc_id", "spans_out", "n"]
                 assert out.column("doc_id").equals(shape.column("doc_id"))
+                assert out.column("n").equals(shape.column("n"))
                 assert out.column("spans_out").to_pylist() == want, (cfg, k)
         assert stage.extractor.stats.native_fallbacks == 0
+
+
+def test_stage_passes_other_columns_through():
+    """``doc_id`` first, ``spans_out`` second, then every other input column
+    except ``spans``, in input order and unchanged, also with
+    ``emit_metrics=True`` (``metrics`` last) and when an overflow halves
+    the batch; the spans still equal the DOM oracle."""
+    stage = ExtractSpansBatch(emit_metrics=True)
+    real = stage._emit
+
+    def capacity(batch):
+        # halving reaches one-row batches, which the real emit takes
+        if batch.num_rows > 1:
+            raise pa.ArrowCapacityError("synthetic >2GB batch")
+        return real(batch)
+
+    for k, shape in enumerate(_shapes()):
+        # an extra column ahead of doc_id and one after n
+        t = shape.select(["n", "doc_id", "spans"]).append_column(
+            "tag", pa.array([f"t{i}" for i in range(shape.num_rows)])
+        )
+        want = _oracle_rows(t, ExtractConfig())
+        for emit in (real, capacity):
+            stage._emit = emit
+            out = stage(t)
+            assert out.column_names == ["doc_id", "spans_out", "n", "tag", "metrics"]
+            for name in ("doc_id", "n", "tag"):
+                assert out.column(name).equals(t.column(name)), (k, name)
+            assert out.column("spans_out").to_pylist() == want, k
 
 
 def test_stage_output_does_not_alias_native_scratch():

@@ -181,7 +181,7 @@ def check_resume_parity(seed: int) -> str | None:
     same output, span-for-span, as the direct (non-checkpointed) pipeline
     over the same corpus. The committed tests pin this at one shape and
     compare doc_ids only after a crash (tests/test_checkpoint.py); here the
-    corpus, file layout, partition/wave geometry, and the crash set are all
+    corpus, file/partition geometry, and the crash set are all
     seed-drawn, and the comparison is value-exact."""
     import tempfile
 
