@@ -8,8 +8,10 @@ Output row: ``doc_id, spans_out: list[{kind, text, media_ref, offset}]`` where
 - ``text`` spans pass through with whitespace-normalized text;
 - ``html`` spans tokenize + parse + boilerplate-strip into one output span per
   kept text block, text equal to the reference-semantics normalized innerText;
-- ``media`` spans route through the layout branch (stubbed) and pass their
-  media_ref through with layout metadata as text.
+- ``media`` spans route through the layout branch and pass their media_ref
+  through with layout metadata as text: ``layout_jsons`` probes one LRU memo
+  for a batch's refs and decodes all its misses in one
+  ``LayoutParser.layout_jsons`` call (one native PDF call for the batch).
 
 Output ``offset`` renumbers 0..k-1 in document order (input order of spans,
 block order within an html span) — the per-row invariant the north rule pins.
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-import json
 
 from html_parser_ray.extract.boilerplate import ExtractConfig, extract_text_blocks
 from html_parser_ray.extract.layout import LayoutParser
@@ -42,6 +43,13 @@ class ExtractStats:
     # int32 offsets: each is a slower path than the one chosen, so each is
     # counted
     native_fallbacks: int = 0
+    # layout memo: refs served from it, refs decoded, refs evicted past
+    # LAYOUT_MEMO_CAP, and decoded PDF refs the native kernel declined
+    # (parsed in Python)
+    layout_hits: int = 0
+    layout_decodes: int = 0
+    layout_evictions: int = 0
+    layout_native_declined: int = 0
 
 
 class SpanExtractor:
@@ -81,22 +89,48 @@ class SpanExtractor:
             self._native = get_native_extractor()
         self.stats = ExtractStats()
 
-    def layout_json(self, ref: str) -> bytes:
-        """``ref``'s layout metadata as sorted-key UTF-8 JSON. A memo miss
-        decodes through ``self.layout.parse``, looked up per call so a
-        wrapper set on the instance after construction sees every decode."""
+    def layout_jsons(self, refs: "list[str]") -> "list[bytes]":
+        """Each ref's layout metadata as sorted-key UTF-8 JSON, in order.
+
+        Probe all, then insert: every ref is looked up in the memo first,
+        and each hit moves to the most recent end in ``refs`` order. The
+        misses (each distinct ref once) are then decoded in ONE
+        ``self.layout.layout_jsons`` call, looked up per call so a wrapper
+        set on the instance after construction sees every decode, and
+        inserted in ``refs`` order; past ``LAYOUT_MEMO_CAP`` the least
+        recently used refs are evicted, which may include refs of this very
+        call. Without the memo every ref is decoded."""
+        st = self.stats
         memo = self._layout_memo
-        if memo is not None:
-            hit = memo.get(ref)
-            if hit is not None:
-                memo.move_to_end(ref)
-                return hit
-        out = json.dumps(self.layout.parse(ref), sort_keys=True).encode("utf-8")
-        if memo is not None:
-            memo[ref] = out
-            if len(memo) > LAYOUT_MEMO_CAP:
-                memo.popitem(last=False)
+        if memo is None:
+            out, declined = self.layout.layout_jsons(refs)
+            st.layout_decodes += len(refs)
+        else:
+            out = []
+            misses = {}
+            for r in refs:
+                got = memo.get(r)
+                if got is None:
+                    misses[r] = None
+                else:
+                    memo.move_to_end(r)
+                out.append(got)
+            declined = 0
+            if misses:
+                decoded, declined = self.layout.layout_jsons(list(misses))
+                memo.update(zip(misses, decoded))
+                out = [memo[r] if got is None else got for r, got in zip(refs, out)]
+                while len(memo) > LAYOUT_MEMO_CAP:
+                    memo.popitem(last=False)
+                    st.layout_evictions += 1
+            st.layout_hits += len(refs) - len(misses)
+            st.layout_decodes += len(misses)
+        st.layout_native_declined += declined
         return out
+
+    def layout_json(self, ref: str) -> bytes:
+        """``layout_jsons([ref])[0]``."""
+        return self.layout_jsons([ref])[0]
 
     def extract_columns(
         self, kinds: list[str], texts: list[bytes], media_refs: list[str]

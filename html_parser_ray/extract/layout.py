@@ -9,13 +9,41 @@ so ``media://pdf/...`` refs resolve through the deterministic synthesizer
 (``pdfcodec.synth_pdf``) — swap ``_fetch`` for a real store client without
 touching the parse. Non-PDF refs keep the legacy keyed-hash metadata (stable
 output for corpora that predate the real branch).
+
+``layout_jsons`` is the batch form: the PDF refs of one call go through ONE
+native kernel call (``native/pdf_summary.c``), and each accepted ref's
+sorted-key JSON comes from one format string, byte-equal to
+``json.dumps(parse(ref), sort_keys=True)`` of the pure ``parse`` (pinned by
+tests/test_layout_json_hypothesis.py).
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 PDF_REF_PREFIX = "media://pdf/"
+
+# json.dumps(summary, sort_keys=True) of an accepted PDF ref: the keys in
+# sorted order, the default ", " / ": " separators; the two strings that may
+# need escaping arrive already JSON-encoded
+_PDF_JSON = (
+    '{"layout_fingerprint": "%s", "layout_model": %s, "media_ref": %s, '
+    '"n_rects": %d, "n_text_spans": %d, "num_pages": %d, "text_chars": %d}'
+)
+
+
+def _text_summary(joined: bytes) -> "tuple[str, int]":
+    """``(layout_fingerprint, text_chars)`` of a PDF's span texts joined
+    with ``b"\\n"``. Decoding the joined bytes with ``"replace"`` equals
+    decoding each span and joining: a ``\\n`` byte is never part of a
+    multi-byte sequence."""
+    try:
+        n_chars = len(joined.decode("utf-8"))
+    except UnicodeDecodeError:
+        text = joined.decode("utf-8", "replace")
+        joined, n_chars = text.encode("utf-8"), len(text)
+    return hashlib.md5(joined).hexdigest()[:16], n_chars
 
 
 class LayoutParser:
@@ -23,17 +51,19 @@ class LayoutParser:
 
     ``model_name`` stands in for a model checkpoint path; construction is the
     expensive step a map_batches actor performs once. A pure decoder: every
-    ``parse`` decodes (``SpanExtractor.layout_json`` owns the memo). PDF refs
-    are always decoded; every other ref gets keyed-hash metadata.
+    ``parse`` or ``layout_jsons`` decodes (``SpanExtractor.layout_jsons`` owns
+    the memo). PDF refs are always decoded; every other ref gets keyed-hash
+    metadata. ``layout_jsons`` is the production path (the native kernel
+    where it accepts); ``parse`` is the pure parser and the oracle.
     """
 
     def __init__(self, model_name: str = "layout-stub-v0") -> None:
         self.model_name = model_name
         self._key = hashlib.sha256(model_name.encode()).digest()[:8]
-        # optional native summary kernel (pdf_summary.c): handles the
-        # well-formed fast path; None or a per-call None falls through to
-        # the pure parser, which owns all semantics and error messages. The
-        # DOM oracle sets it to None.
+        # optional batch kernel (pdf_summary.c): handles the well-formed fast
+        # path; None, or a None entry for a payload, falls through to the
+        # pure parser, which owns all semantics and error messages. The DOM
+        # oracle sets it to None.
         from html_parser_ray.native import get_native_pdf_summary
 
         self._native = get_native_pdf_summary()
@@ -45,60 +75,75 @@ class LayoutParser:
 
         return synth_pdf(media_ref)
 
-    def parse(self, media_ref: str) -> dict:
-        """Layout metadata for ``media_ref``; REAL byte-level PDF parse for
-        PDF refs, legacy keyed-hash metadata otherwise."""
-        if media_ref.startswith(PDF_REF_PREFIX):
-            from html_parser_ray.functions.pdfcodec import PdfError, parse_pdf
+    def layout_jsons(self, refs: "list[str]") -> "tuple[list[bytes], int]":
+        """Sorted-key UTF-8 JSON of ``parse(ref)`` for each ref, in order,
+        and the number of PDF refs the kernel declined. The PDF refs'
+        payloads are fetched one by one and decoded in one native call; each
+        ref the kernel accepts gets its JSON from one format string, each it
+        declines goes through the pure parser on the payload already
+        fetched. Other refs and, without the kernel, every ref take
+        ``json.dumps(self.parse(ref), sort_keys=True)``."""
+        out: "list[bytes | None]" = [None] * len(refs)
+        declined = 0
+        if self._native is not None:
+            pdf = [i for i, r in enumerate(refs) if r.startswith(PDF_REF_PREFIX)]
+            if pdf:
+                payloads = [self._fetch(refs[i]) for i in pdf]
+                model = json.dumps(self.model_name)
+                for i, payload, res in zip(pdf, payloads, self._native(payloads)):
+                    if res is None:
+                        declined += 1
+                        meta = self._parse_pdf(refs[i], payload)
+                        out[i] = json.dumps(meta, sort_keys=True).encode()
+                        continue
+                    num_pages, n_spans, n_rects, joined = res
+                    fingerprint, n_chars = _text_summary(joined)
+                    out[i] = (
+                        _PDF_JSON
+                        % (fingerprint, model, json.dumps(refs[i]), n_rects,
+                           n_spans, num_pages, n_chars)
+                    ).encode()
+        for i, got in enumerate(out):
+            if got is None:
+                out[i] = json.dumps(self.parse(refs[i]), sort_keys=True).encode()
+        return out, declined
 
-            payload = self._fetch(media_ref)
-            if self._native is not None:
-                ns = self._native(payload)
-                if ns is not None:
-                    num_pages, raw_spans, n_rects = ns
-                    # per-span decode, exactly like the pure path's
-                    # per-string decode("utf-8", "replace") before the join
-                    span_texts = [
-                        b.decode("utf-8", "replace") for b in raw_spans
-                    ]
-                    all_text = "\n".join(span_texts)
-                    return {
-                        "media_ref": media_ref,
-                        "layout_model": self.model_name,
-                        "layout_fingerprint": hashlib.md5(
-                            all_text.encode("utf-8")
-                        ).hexdigest()[:16],
-                        "num_pages": num_pages,
-                        "n_text_spans": len(raw_spans),
-                        "n_rects": n_rects,
-                        "text_chars": len(all_text),
-                    }
-            try:
-                doc = parse_pdf(payload)
-            except PdfError as e:
-                return {
-                    "media_ref": media_ref,
-                    "layout_model": self.model_name,
-                    "layout_error": str(e),
-                    "num_pages": 0,
-                }
-            texts = [t for pg in doc["pages"] for t in pg["texts"]]
-            all_text = "\n".join(t[3] for t in texts)
-            return {
-                "media_ref": media_ref,
-                "layout_model": self.model_name,
-                "layout_fingerprint": hashlib.md5(
-                    all_text.encode("utf-8")
-                ).hexdigest()[:16],
-                "num_pages": doc["num_pages"],
-                "n_text_spans": len(texts),
-                "n_rects": sum(len(pg["rects"]) for pg in doc["pages"]),
-                "text_chars": len(all_text),
-            }
+    def parse(self, media_ref: str) -> dict:
+        """Layout metadata for ``media_ref`` from the pure parser: REAL
+        byte-level PDF parse for PDF refs, legacy keyed-hash metadata
+        otherwise."""
+        if media_ref.startswith(PDF_REF_PREFIX):
+            return self._parse_pdf(media_ref, self._fetch(media_ref))
         h = hashlib.sha256(self._key + media_ref.encode()).hexdigest()
         return {
             "media_ref": media_ref,
             "layout_model": self.model_name,
             "layout_fingerprint": h[:16],
             "num_pages": (int(h[:4], 16) % 32) + 1,
+        }
+
+    def _parse_pdf(self, media_ref: str, payload: bytes) -> dict:
+        """Layout metadata of the PDF ``payload`` fetched for ``media_ref``,
+        from the pure parser (``functions.pdfcodec.parse_pdf``)."""
+        from html_parser_ray.functions.pdfcodec import PdfError, parse_pdf
+
+        try:
+            doc = parse_pdf(payload)
+        except PdfError as e:
+            return {
+                "media_ref": media_ref,
+                "layout_model": self.model_name,
+                "layout_error": str(e),
+                "num_pages": 0,
+            }
+        texts = [t for pg in doc["pages"] for t in pg["texts"]]
+        all_text = "\n".join(t[3] for t in texts)
+        return {
+            "media_ref": media_ref,
+            "layout_model": self.model_name,
+            "layout_fingerprint": hashlib.md5(all_text.encode("utf-8")).hexdigest()[:16],
+            "num_pages": doc["num_pages"],
+            "n_text_spans": len(texts),
+            "n_rects": sum(len(pg["rects"]) for pg in doc["pages"]),
+            "text_chars": len(all_text),
         }

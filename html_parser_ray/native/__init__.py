@@ -3,19 +3,25 @@
 ``get_native_extractor()`` returns ``extract_blocks_native(source,
 drop_whitespace_text=False, max_link_density=0.5, min_text_len=1) ->
 list[bytes] | None`` and ``get_native_batch_extractor()`` the one-call-per-
-batch twin; both are None when unavailable. The shared library compiles on
-first use from the in-repo C source with the system compiler (cached under
-the per-user ``~/.cache/hpr_native`` keyed by a source hash, ownership-
-checked before loading); ANY failure — no compiler, compile error, load
-error — yields None and extraction runs on the DOM oracle path
-(``parse_html`` + ``extract_text_blocks``), so the engine never depends on
-a toolchain. Set ``GRAFT_DISABLE_NATIVE=1`` to force the DOM path.
+batch twin; ``get_native_pdf_summary()`` returns ``pdf_layout_batch(payloads)
+-> list[tuple | None]``, one C call for a list of PDF payloads giving per
+payload ``(num_pages, n_text_spans, n_rects, joined span text)`` or None for
+a payload the pure parser must take. All are None when unavailable. Each
+shared library compiles on first use from the in-repo C source with the
+system compiler (cached under the per-user ``~/.cache/hpr_native`` keyed by
+a source hash, ownership-checked before loading); ANY failure — no
+compiler, compile error, load error — yields None and extraction runs on
+the DOM oracle path (``parse_html`` + ``extract_text_blocks``) or the pure
+PDF parser, so the engine never depends on a toolchain. Set
+``GRAFT_DISABLE_NATIVE=1`` to force the DOM path.
 
 The HTML kernel uses the default ExtractConfig's tag tables and class/id
 markers and takes the two scalar thresholds as arguments; configs with other
 ``drop_tags`` or class markers run on the DOM path. Byte-parity with the DOM
 oracle is pinned by tests/test_native_parity.py, tests/test_fused_parity.py,
-tests/test_tag_table_parity.py and tests/test_extraction_hypothesis.py.
+tests/test_tag_table_parity.py and tests/test_extraction_hypothesis.py; the
+PDF kernel's parity with the pure parser by tests/test_pdf_native_parity.py
+and tests/test_layout_json_hypothesis.py.
 """
 
 from __future__ import annotations
@@ -314,54 +320,48 @@ _pdf_fn = None
 
 
 def _make_pdf_wrapper(fn):
-    c_int64 = ctypes.c_int64
-    string_at = ctypes.string_at
+    import numpy as np
+
     local = threading.local()
 
-    def pdf_layout_spans(payload: bytes):
-        """``(num_pages, [span bytes...], n_rects)`` for a well-formed PDF,
-        or None on any structural surprise (caller runs the pure parser —
-        which also owns every error message). Scratch buffers are
-        thread-local grow-only, retried on the kernel's -2 capacity code."""
-        n = len(payload)
-        if getattr(local, "text_cap", 0) < n * 4 + 1024:
-            local.text_cap = max(1 << 16, (n * 4 + 1024) * 2)
+    def pdf_layout_batch(payloads: "list[bytes]") -> list:
+        """Per payload, ``(num_pages, n_text_spans, n_rects, text)`` for a
+        well-formed PDF, ``text`` being its span texts joined with ``b"\\n"``,
+        or None on any structural surprise (the caller runs the pure parser
+        for that payload, which also owns every error message). One C call
+        for the whole list; the text scratch is thread-local grow-only, and
+        the kernel's -2 capacity code grows it and retries."""
+        n = len(payloads)
+        blob = b"".join(payloads)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([len(p) for p in payloads], out=offsets[1:])
+        # span text is mostly shorter than its payload; a flate stream that
+        # inflates past this takes the -2 retry below
+        need = len(blob) * 2 + 1024
+        if getattr(local, "text_cap", 0) < need:
+            local.text_cap = max(1 << 16, need * 2)
             local.text = ctypes.create_string_buffer(local.text_cap)
-        if getattr(local, "lens_cap", 0) < 256:
-            local.lens_cap = 4096
-            local.lens = (c_int64 * local.lens_cap)()
-        meta = (c_int64 * 3)()
-        while True:
-            rc = fn(
-                payload, n, local.text, local.text_cap,
-                local.lens, local.lens_cap, meta,
-            )
-            if rc == -2:
-                if local.text_cap >= 1 << 28:
-                    return None  # pathological: let Python handle it
-                local.text_cap *= 2
-                local.text = ctypes.create_string_buffer(local.text_cap)
-                local.lens_cap *= 2
-                local.lens = (c_int64 * local.lens_cap)()
-                continue
-            if rc < 0:
-                return None
-            break
-        spans = []
-        off = 0
-        base = ctypes.addressof(local.text)
-        lens = local.lens
-        for k in range(meta[1]):
-            ln = lens[k]
-            spans.append(string_at(base + off, ln))
-            off += ln
-        return int(meta[0]), spans, int(meta[2])
+        text_offs = np.empty(n + 1, dtype=np.int64)
+        meta = np.empty((n, 4), dtype=np.int64)
+        while fn(
+            blob, offsets.ctypes.data, n, local.text, local.text_cap,
+            text_offs.ctypes.data, meta.ctypes.data,
+        ) == -2:
+            local.text_cap *= 2
+            local.text = ctypes.create_string_buffer(local.text_cap)
+        text = ctypes.string_at(local.text, int(text_offs[n]))
+        bounds = text_offs.tolist()
+        return [
+            (m[1], m[2], m[3], text[bounds[i] : bounds[i + 1]]) if m[0] else None
+            for i, m in enumerate(meta.tolist())
+        ]
 
-    return pdf_layout_spans
+    return pdf_layout_batch
 
 
 def get_native_pdf_summary():
-    """Compiled PDF layout-summary callable or None (thread-safe, cached)."""
+    """Compiled batch PDF layout callable (``pdf_layout_batch`` above) or
+    None (thread-safe, cached)."""
     global _pdf_cached, _pdf_fn
     if _pdf_cached:
         return _pdf_fn
@@ -369,16 +369,16 @@ def get_native_pdf_summary():
         if not _pdf_cached:
             lib = _compile_and_load(_PDF_C_SOURCE, "hpr_pdfsum", ["-lz"])
             if lib is not None:
-                fn = lib.hpr_pdf_layout_spans
+                fn = lib.hpr_pdf_layout_batch
                 fn.restype = ctypes.c_int64
                 fn.argtypes = [
-                    ctypes.c_char_p,                  # payload
-                    ctypes.c_int64,                   # n
-                    ctypes.c_void_p,                  # text_out
-                    ctypes.c_int64,                   # text_cap
-                    ctypes.POINTER(ctypes.c_int64),   # span_lens
-                    ctypes.c_int64,                   # lens_cap
-                    ctypes.POINTER(ctypes.c_int64),   # meta[3]
+                    ctypes.c_char_p,  # blob: the payloads, concatenated
+                    ctypes.c_void_p,  # int64 offsets[n_refs + 1] into blob
+                    ctypes.c_int64,   # n_refs
+                    ctypes.c_void_p,  # text_out
+                    ctypes.c_int64,   # text_cap
+                    ctypes.c_void_p,  # int64 text_offs[n_refs + 1] (out)
+                    ctypes.c_void_p,  # int64 meta[n_refs][4] (out)
                 ]
                 _pdf_fn = _make_pdf_wrapper(fn)
             else:

@@ -1,17 +1,21 @@
 /* Native layout-summary kernel for the PDF branch.
  *
- * hpr_pdf_layout_spans(payload, n, text_out, text_cap, span_lens, lens_cap,
- *                      meta[3]) -> total unescaped text bytes written, or
- *   -1  structural surprise (no/odd xref, xref streams, missing tree, bad
- *       stream, bad flate, caps unknown) -> caller runs the pure-Python
- *       parser (html_parser_ray/functions/pdfcodec.py:parse_pdf)
- *   -2  text_out/span_lens capacity too small -> caller grows and retries
+ * hpr_pdf_layout_batch(blob, offsets, n_refs, text_out, text_cap, text_offs,
+ *                      meta) -> 0, or
+ *   -2  text_out capacity too small -> caller grows it and retries the whole
+ *       batch (each ref's result depends only on its own payload)
  *
- * meta out: [num_pages, n_text_spans, n_rects].
+ * Ref i's payload is blob[offsets[i], offsets[i + 1]). Per ref, meta[4i..4i+3]
+ * gets [ok, num_pages, n_text_spans, n_rects] and its span texts, joined with
+ * '\n', land in text_out[text_offs[i], text_offs[i + 1]). ok = 0 is a
+ * structural surprise (no/odd xref, xref streams, missing tree, bad stream,
+ * bad flate, text over REF_TEXT_MAX): the caller runs the pure-Python parser
+ * (html_parser_ray/functions/pdfcodec.py:parse_pdf) for that ref, and its
+ * text range is empty.
  *
  * Scope: the WELL-FORMED fast path only — classic xref table (not 1.5+ xref
  * streams), /Root -> /Pages -> /Kids page tree, direct /Length, FlateDecode
- * or raw streams. Anything else returns -1; the Python parser is the
+ * or raw streams. Anything else declines; the Python parser is the
  * reference semantics and handles reconstruction. The content tokenizer
  * mirrors pdfcodec's regex semantics exactly (alternation order, one-byte
  * advance on failed match, PDF-string class without nesting, \\ooo octal and
@@ -332,18 +336,20 @@ static i64 string_end(const u8 *p, i64 n, i64 i) {
 }
 
 typedef struct {
-    u8 *text;       /* unescaped span bytes, concatenated */
+    u8 *text;       /* unescaped span bytes, joined with '\n' */
     i64 text_cap, text_len;
-    i64 *lens;      /* per-span byte length */
-    i64 lens_cap, n_spans;
+    i64 n_spans;
     i64 n_rects;
     int overflow;
 } Emit;
 
-/* unescape string body p[s+1 .. e-2] into em->text (mirror of _unescape) */
+/* unescape string body p[s+1 .. e-2] into em->text (mirror of _unescape),
+ * after a '\n' separator unless it is the first span */
 static void emit_span(Emit *em, const u8 *p, i64 s, i64 e) {
-    if (em->n_spans >= em->lens_cap) { em->overflow = 1; return; }
-    i64 start = em->text_len;
+    if (em->n_spans > 0) {
+        if (em->text_len >= em->text_cap) { em->overflow = 1; return; }
+        em->text[em->text_len++] = '\n';
+    }
     i64 i = s + 1, stop = e - 1;
     while (i < stop) {
         u8 c = p[i];
@@ -378,7 +384,7 @@ static void emit_span(Emit *em, const u8 *p, i64 s, i64 e) {
         if (em->text_len >= em->text_cap) { em->overflow = 1; return; }
         em->text[em->text_len++] = outb;
     }
-    em->lens[em->n_spans++] = em->text_len - start;
+    em->n_spans++;
 }
 
 /* number token [\d.+-]+ at i; returns end or -1 */
@@ -469,10 +475,12 @@ static void tokenize(const u8 *p, i64 n, Emit *em) {
     }
 }
 
-/* ---- entry --------------------------------------------------------------- */
+/* ---- one payload --------------------------------------------------------- */
 
-i64 hpr_pdf_layout_spans(const u8 *payload, i64 n, u8 *text_out, i64 text_cap,
-                         i64 *span_lens, i64 lens_cap, i64 *meta) {
+/* joined span text of one payload into em (which starts empty); returns 0 ok,
+ * -1 structural surprise, -2 em->text overflow. meta out: [num_pages,
+ * n_text_spans, n_rects]. */
+static i64 layout_spans(const u8 *payload, i64 n, Emit *em, i64 *meta) {
     meta[0] = meta[1] = meta[2] = 0;
     if (n < 5 || memcmp(payload, "%PDF-", 5) != 0) return -1;
     ObjTable tab = {0};
@@ -560,7 +568,6 @@ i64 hpr_pdf_layout_spans(const u8 *payload, i64 n, u8 *text_out, i64 text_cap,
         if (n_pages == 0) goto done;
 
         /* per page: every /Contents ref, in order */
-        Emit em = {text_out, text_cap, 0, span_lens, lens_cap, 0, 0, 0};
         for (i64 pi = 0; pi < n_pages; pi++) {
             i64 s, e;
             if (!obj_lookup(&tab, pages[pi], &s, &e)) goto done;
@@ -605,18 +612,18 @@ i64 hpr_pdf_layout_spans(const u8 *payload, i64 n, u8 *text_out, i64 text_cap,
                     u8 *dec = NULL;
                     i64 declen = inflate_buf(data, dlen, &dec);
                     if (declen < 0) goto done;
-                    tokenize(dec, declen, &em);
+                    tokenize(dec, declen, em);
                     free(dec);
                 } else {
-                    tokenize(data, dlen, &em);
+                    tokenize(data, dlen, em);
                 }
-                if (em.overflow) { ret = -2; goto done; }
+                if (em->overflow) { ret = -2; goto done; }
             }
         }
         meta[0] = n_pages;
-        meta[1] = em.n_spans;
-        meta[2] = em.n_rects;
-        ret = em.text_len;
+        meta[1] = em->n_spans;
+        meta[2] = em->n_rects;
+        ret = 0;
     }
 
 done:
@@ -626,4 +633,30 @@ done:
     free(pages);
     free(visited);
     return ret;
+}
+
+/* ---- entry --------------------------------------------------------------- */
+
+/* one ref's text may not exceed this: past it the ref declines, whatever the
+ * caller's buffer, so a ref's result never depends on its batch */
+#define REF_TEXT_MAX ((i64)1 << 28)
+
+i64 hpr_pdf_layout_batch(const u8 *blob, const i64 *offsets, i64 n_refs,
+                         u8 *text_out, i64 text_cap, i64 *text_offs,
+                         i64 *meta) {
+    i64 at = 0;
+    text_offs[0] = 0;
+    for (i64 r = 0; r < n_refs; r++) {
+        i64 room = text_cap - at;
+        Emit em = {text_out + at, room < REF_TEXT_MAX ? room : REF_TEXT_MAX,
+                   0, 0, 0, 0};
+        i64 *m = meta + 4 * r;
+        i64 rc = layout_spans(blob + offsets[r], offsets[r + 1] - offsets[r],
+                              &em, m + 1);
+        if (rc == -2 && room <= REF_TEXT_MAX) return -2;
+        m[0] = rc == 0;
+        if (rc == 0) at += em.text_len;
+        text_offs[r + 1] = at;
+    }
+    return 0;
 }

@@ -33,17 +33,20 @@ MAX_EXTRACT_ACTORS = 24
 
 def _default_concurrency() -> int:
     """Actor-pool size for the CPU-bound extract stage: total CPUs minus a
-    reserve for the read/write stages, capped at ``MAX_EXTRACT_ACTORS``.
-    Sizing the pool to ALL CPUs starves the upstream read tasks (actors hold
-    their CPU for life) and can stall the whole pipeline — measured 10x
-    wall-time degradation in local tests."""
+    reserve for the read/write stages, at least 2 and at most
+    ``MAX_EXTRACT_ACTORS``, and always leaving one CPU free (so one actor on
+    1 or 2 CPUs). Sizing the pool to ALL CPUs starves the upstream read
+    tasks (actors hold their CPU for life) and can stall the whole pipeline
+    — measured 10x wall-time degradation in local tests. With no CPU count
+    (Ray not initialised yet) the pool is 2."""
     import ray
 
     try:
         cpus = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
     except Exception:
         cpus = 0
-    return max(2, min(cpus - 2, MAX_EXTRACT_ACTORS))
+    n = max(2, min(cpus - 2, MAX_EXTRACT_ACTORS))
+    return min(n, max(1, cpus - 1)) if cpus else n
 
 
 def read_corpus(path: str, file_format: str = "parquet", **kwargs) -> "ray.data.Dataset":

@@ -211,16 +211,17 @@ class ExtractSpansBatch:
         first[text_idx] = nb + np.arange(nt)
         counts[text_idx] = norm_lens > 0
 
-        # media: one layout JSON per UNIQUE ref of the batch, through the
-        # extractor's cross-batch layout memo (refs repeat heavily); a span
-        # whose ref is the c-th unique is pool entry nb + nt + c
+        # media: one layout JSON per UNIQUE ref of the batch, from one
+        # ``layout_jsons`` call (the extractor's cross-batch memo, then one
+        # decode call for the misses); a span whose ref is the c-th unique
+        # is pool entry nb + nt + c
         refs = pa.array([], type=pa.string())
         ujsons: "list[bytes]" = []
         if len(media_idx):
             coded = flat.field("media_ref").filter(is_media).fill_null("")
             coded = coded.dictionary_encode()
             refs = coded.dictionary
-            ujsons = [self.extractor.layout_json(r) for r in refs.to_pylist()]
+            ujsons = self.extractor.layout_jsons(refs.to_pylist())
             first[media_idx] = nb + nt + coded.indices.to_numpy()
             counts[media_idx] = 1
 

@@ -4,11 +4,15 @@ first-class pipeline, not just a leg of span extraction).
 ``LayoutFeatureStage`` is a callable class for
 ``map_batches(LayoutFeatureStage, batch_format="pyarrow", concurrency=N)``:
 the layout parser (model-load stand-in) constructs once per actor; each call
-resolves and REALLY parses each ref's PDF bytes (``functions.pdfcodec``) into
-layout features. At 100 TB the refs column streams through the actor pool and
-nothing but the fixed-width feature rows comes out."""
+resolves and REALLY parses each distinct ref's PDF bytes into layout features
+(``LayoutParser.layout_jsons``: one native call per batch, the pure
+``functions.pdfcodec`` parser for what the kernel declines). At 100 TB the
+refs column streams through the actor pool and nothing but the fixed-width
+feature rows comes out."""
 
 from __future__ import annotations
+
+import json
 
 import pyarrow as pa
 
@@ -40,13 +44,12 @@ class LayoutFeatureStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         refs = batch.column("media_ref").to_pylist()
-        # Parse each distinct ref once per batch — real corpora repeat media
-        # refs across documents, and the parse is the whole cost here.
-        memo: dict[str, dict] = {}
-        for r in refs:
-            key = r or ""
-            if key not in memo:
-                memo[key] = self.parser.parse(key)
+        # Parse each distinct ref once per batch, all in one batch decode
+        # (one native PDF call) — real corpora repeat media refs across
+        # documents, and the parse is the whole cost here.
+        keys = list(dict.fromkeys(r or "" for r in refs))
+        jsons, _ = self.parser.layout_jsons(keys)
+        memo = dict(zip(keys, map(json.loads, jsons)))
         metas = [memo[r or ""] for r in refs]
         return pa.table(
             {

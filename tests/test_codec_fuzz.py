@@ -86,14 +86,14 @@ def test_pdf_parse_never_crashes_and_native_declines_or_matches():
             pure = None
         if native is None:
             continue
-        ns = native(mut)
+        ns = native([mut])[0]
         if ns is None:
             continue  # decline is always allowed
         assert pure is not None, "native succeeded where pure parser errored"
         texts = [t[3] for pg in pure["pages"] for t in pg["texts"]]
         rects = sum(len(pg["rects"]) for pg in pure["pages"])
-        got = (ns[0], [b.decode("utf-8", "replace") for b in ns[1]], ns[2])
-        assert got == (pure["num_pages"], texts, rects)
+        got = (ns[0], ns[1], ns[2], ns[3].decode("utf-8", "replace"))
+        assert got == (pure["num_pages"], len(texts), rects, "\n".join(texts))
 
 
 def test_frame_stage_total_on_mutant_videos(ray_session):

@@ -361,15 +361,16 @@ def _media_rows(refs_per_doc) -> "pa.Table":
 
 def _decode_log(extractor) -> "list[str]":
     """Refs ``extractor`` decodes from now on, in order: wraps the layout
-    parser's ``parse`` on the instance, after construction."""
+    parser's batch decode ``layout_jsons`` on the instance, after
+    construction."""
     log: "list[str]" = []
-    inner = extractor.layout.parse
+    inner = extractor.layout.layout_jsons
 
-    def parse(ref: str) -> dict:
-        log.append(ref)
-        return inner(ref)
+    def layout_jsons(refs: "list[str]") -> "tuple[list[bytes], int]":
+        log.extend(refs)
+        return inner(refs)
 
-    extractor.layout.parse = parse
+    extractor.layout.layout_jsons = layout_jsons
     return log
 
 
@@ -405,6 +406,45 @@ def test_layout_memo_evicts_least_recently_used(monkeypatch):
     _assert_oracle_equal(third, stage(third))
     assert decoded == refs[:10] + [refs[1]]
     assert len(stage.extractor._layout_memo) == 8
+    st = stage.extractor.stats
+    assert (st.layout_decodes, st.layout_hits, st.layout_evictions) == (11, 2, 3)
+    assert st.layout_native_declined == 0
+
+
+def test_layout_memo_evicts_inside_one_batch(monkeypatch):
+    """A batch with more unique refs than the cap, some already memoized:
+    the memo probes every ref first (the hits move to the recent end), then
+    inserts the misses in batch order and evicts the least recently used
+    past the cap, refs of this batch included. Output equals the oracle's
+    and the next batch sees exactly the refs the order keeps."""
+    import html_parser_ray.extract.extractor as extractor_mod
+    from html_parser_ray.stages.extract_stage import ExtractSpansBatch
+
+    monkeypatch.setattr(extractor_mod, "LAYOUT_MEMO_CAP", 4)
+    stage = ExtractSpansBatch()
+    decoded = _decode_log(stage.extractor)
+    refs = [f"media://pdf/{i:06d}" for i in range(8)]
+
+    first = _media_rows([refs[:4]])
+    _assert_oracle_equal(first, stage(first))
+    assert decoded == refs[:4]
+
+    # unique refs, in batch order: 4, 1, 5, 6, 0 (five, over the cap of
+    # four); 1 and 0 hit and move to the recent end, [2, 3, 1, 0], then the
+    # misses 4, 5, 6 go in and evict 2, 3, 1
+    second = _media_rows([[refs[4], refs[1]], [refs[5], refs[6], refs[0], refs[1]]])
+    _assert_oracle_equal(second, stage(second))
+    assert decoded == refs[:7]
+    memo = stage.extractor._layout_memo
+    assert list(memo) == [refs[0], refs[4], refs[5], refs[6]]
+    st = stage.extractor.stats
+    assert (st.layout_hits, st.layout_decodes, st.layout_evictions) == (2, 7, 3)
+
+    third = _media_rows([[refs[6], refs[1]]])
+    _assert_oracle_equal(third, stage(third))
+    assert decoded == refs[:7] + [refs[1]]
+    assert list(memo) == [refs[4], refs[5], refs[6], refs[1]]
+    assert (st.layout_hits, st.layout_decodes, st.layout_evictions) == (3, 8, 4)
 
 
 def test_layout_memo_on_and_off_decode_counts():
@@ -421,6 +461,9 @@ def test_layout_memo_on_and_off_decode_counts():
     for batch in batches:
         _assert_oracle_equal(batch, stage(batch))
     assert decoded == [a, b, c]
+    st = stage.extractor.stats
+    # unique refs per batch: [a, b] then [a, c]
+    assert (st.layout_decodes, st.layout_hits, st.layout_evictions) == (3, 1, 0)
 
     for memo, want in ((True, [a, b, c]), (False, [a, b, a, b, a, c, c, a])):
         ex = SpanExtractor(layout_memo=memo)
@@ -429,3 +472,5 @@ def test_layout_memo_on_and_off_decode_counts():
             for spans in batch.column("spans").to_pylist():
                 ex.extract_document(spans)
         assert decoded == want
+        assert ex.stats.layout_decodes == len(want)
+        assert ex.stats.layout_hits == 8 - len(want)

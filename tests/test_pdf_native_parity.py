@@ -2,11 +2,14 @@
 with the pure-Python parser (functions/pdfcodec.parse_pdf) — same discipline
 as the fused-extract kernel: the Python path is the semantics, the C path
 must be byte-identical wherever it claims success, and must decline (None)
-rather than guess everywhere else."""
+rather than guess everywhere else. The kernel is one call per batch of
+payloads; each payload's result must not depend on its batch."""
 
 from __future__ import annotations
 
+import ctypes
 import random
+import threading
 import zlib
 
 import pytest
@@ -28,17 +31,28 @@ def summary_from_pure(payload: bytes):
     return doc["num_pages"], texts, rects
 
 
-def summary_from_native(payload: bytes):
-    ns = native(payload)
-    if ns is None:
+def folded(summary):
+    """A pure summary in the kernel's shape: the span texts joined with
+    "\\n", after a per-span ``decode("utf-8", "replace")``."""
+    num_pages, texts, rects = summary
+    return num_pages, len(texts), rects, "\n".join(texts)
+
+
+def from_native(res):
+    if res is None:
         return None
-    return ns[0], [b.decode("utf-8", "replace") for b in ns[1]], ns[2]
+    num_pages, n_spans, n_rects, text = res
+    return num_pages, n_spans, n_rects, text.decode("utf-8", "replace")
+
+
+def summary_from_native(payload: bytes):
+    return from_native(native([payload])[0])
 
 
 def assert_parity(payload: bytes):
     got = summary_from_native(payload)
     assert got is not None, "native declined a well-formed writer PDF"
-    assert got == summary_from_pure(payload)
+    assert got == folded(summary_from_pure(payload))
 
 
 def test_synth_corpus_parity():
@@ -103,7 +117,7 @@ def test_adversarial_bait_decline_or_parity():
             exp = summary_from_pure(payload)
         except Exception:
             pytest.fail("native succeeded where the pure parser errored")
-        assert got == exp
+        assert got == folded(exp)
     # the fast path must not decline everything: compressed streams hide
     # the bait, so a healthy majority still succeeds
     assert declined < 45
@@ -122,23 +136,25 @@ def test_multi_contents_and_tj_arrays_via_raw_stream():
         assert_parity(encode_pdf(pages, compress=compress))
 
 
+# structurally valid objects but NO xref -> native declines, pure parses
+XREFLESS = (
+    b"%PDF-1.7\n"
+    b"1 0 obj\n<< /Type /Catalog /Pages 2 0 R >>\nendobj\n"
+    b"2 0 obj\n<< /Type /Pages /Kids [3 0 R] /Count 1 >>\nendobj\n"
+    b"3 0 obj\n<< /Type /Page /Parent 2 0 R /Contents 4 0 R >>\nendobj\n"
+    b"4 0 obj\n<< /Length 24 >>\nstream\nBT 1 2 Td (hello) Tj ET\nendstream\nendobj\n"
+    b"trailer\n<< /Size 5 /Root 1 0 R >>\n%%EOF\n"
+)
+
+
 def test_native_declines_corrupt_and_xrefless():
-    assert native(b"not a pdf") is None
-    assert native(b"%PDF-1.4\nno objects here") is None
-    # structurally valid objects but NO xref -> native declines, pure parses
-    head = (
-        b"%PDF-1.7\n"
-        b"1 0 obj\n<< /Type /Catalog /Pages 2 0 R >>\nendobj\n"
-        b"2 0 obj\n<< /Type /Pages /Kids [3 0 R] /Count 1 >>\nendobj\n"
-        b"3 0 obj\n<< /Type /Page /Parent 2 0 R /Contents 4 0 R >>\nendobj\n"
-        b"4 0 obj\n<< /Length 24 >>\nstream\nBT 1 2 Td (hello) Tj ET\nendstream\nendobj\n"
-        b"trailer\n<< /Size 5 /Root 1 0 R >>\n%%EOF\n"
-    )
-    assert native(head) is None
-    assert summary_from_pure(head)[1] == ["hello"]
+    assert native([b"not a pdf"]) == [None]
+    assert native([b"%PDF-1.4\nno objects here"]) == [None]
+    assert native([XREFLESS]) == [None]
+    assert summary_from_pure(XREFLESS)[1] == ["hello"]
 
 
-def test_truncated_xref_offsets_decline():
+def _truncated_xref() -> bytes:
     p = bytearray(synth_pdf("media://pdf/000042"))
     # corrupt the first in-use entry's offset digits -> the offset no longer
     # points at an object header
@@ -146,18 +162,58 @@ def test_truncated_xref_offsets_decline():
     j = p.find(b" 00000 n \n", i)
     assert j > 0
     p[j - 10 : j] = b"9999999999"
-    assert native(bytes(p)) is None
+    return bytes(p)
+
+
+def test_truncated_xref_offsets_decline():
+    assert native([_truncated_xref()]) == [None]
 
 
 def test_layout_parser_native_equals_pure_dicts():
+    import json
+
     from html_parser_ray.extract.layout import LayoutParser
 
     nat = LayoutParser()
     pure = LayoutParser()
     pure._native = None
-    for i in range(60):
-        ref = f"media://pdf/{i * 997 % 100000:06d}"
-        assert nat.parse(ref) == pure.parse(ref)
+    refs = [f"media://pdf/{i * 997 % 100000:06d}" for i in range(60)]
+    want = [json.dumps(pure.parse(r), sort_keys=True).encode() for r in refs]
+    assert nat.layout_jsons(refs) == (want, 0)
+
+
+def test_declined_refs_are_fetched_once_and_counted():
+    """A PDF ref the kernel declines is parsed in Python from the payload
+    already fetched for the batch (one fetch per ref), its JSON equals the
+    pure parser's, and the extractor counts the decline once."""
+    import json
+
+    from html_parser_ray.extract.extractor import SpanExtractor
+    from html_parser_ray.extract.layout import LayoutParser
+
+    payloads = {
+        "media://pdf/xrefless": XREFLESS,
+        "media://pdf/corrupt": b"not a pdf",
+        "media://pdf/array": _array_contents(),
+        "media://pdf/000042": synth_pdf("media://pdf/000042"),
+    }
+    fetched: "list[str]" = []
+
+    def fetch(ref: str) -> bytes:
+        fetched.append(ref)
+        return payloads[ref]
+
+    pure = LayoutParser()
+    pure._fetch = payloads.__getitem__
+    refs = list(payloads) + ["media://img/1"]
+    want = [json.dumps(pure.parse(r), sort_keys=True).encode() for r in refs]
+    ex = SpanExtractor()
+    ex.layout._fetch = fetch
+    assert ex.layout_jsons(refs) == want
+    assert fetched == list(payloads)
+    st = ex.stats
+    assert (st.layout_decodes, st.layout_native_declined) == (5, 3)
+
 
 def _assemble(objs: "list[bytes]") -> bytes:
     out = bytearray(b"%PDF-1.4\n")
@@ -177,12 +233,10 @@ def _assemble(objs: "list[bytes]") -> bytes:
     return bytes(out)
 
 
-def test_native_declines_array_contents_python_parses():
-    """Array-form /Contents [N 0 R M 0 R]: the C kernel declines-to-Python,
-    and the Python parser reads both streams in order — parity via decline."""
+def _array_contents() -> bytes:
     c1 = b"BT 1 2 Td (part one) Tj ET"
     c2 = b"BT 3 4 Td (part two) Tj ET"
-    payload = _assemble(
+    return _assemble(
         [
             b"<< /Type /Catalog /Pages 2 0 R >>",
             b"<< /Type /Pages /Kids [3 0 R] /Count 1 >>",
@@ -191,8 +245,57 @@ def test_native_declines_array_contents_python_parses():
             b"<< /Length %d >>\nstream\n" % len(c2) + c2 + b"\nendstream",
         ]
     )
-    assert native(payload) is None
+
+
+def test_native_declines_array_contents_python_parses():
+    """Array-form /Contents [N 0 R M 0 R]: the C kernel declines-to-Python,
+    and the Python parser reads both streams in order — parity via decline."""
+    payload = _array_contents()
+    assert native([payload]) == [None]
     assert summary_from_pure(payload)[1] == ["part one", "part two"]
+
+
+def test_batch_mixes_declines_and_scratch_growth_without_shifting(monkeypatch):
+    """One batch of well-formed payloads, declined ones (corrupt, xref-less,
+    array /Contents, truncated xref) and one whose text overflows the
+    initial scratch mid-batch: every payload gets the result it gets alone,
+    equal to the pure parser's, and a decline shifts none of its
+    neighbours."""
+    good = [synth_pdf(f"media://pdf/{i:06d}") for i in (3, 77, 4242, 99999)]
+    # ~400 KB of span text from a ~2 KB flate stream: far past the initial
+    # scratch the wrapper sizes from the batch's payload bytes
+    content = b"BT " + (b"(" + b"x" * 200 + b") Tj ") * 2000 + b"ET"
+    big = encode_pdf([{"raw_stream": (zlib.compress(content, 9), True)}])
+    assert len(content) > 16 * len(big)
+    declined = [b"not a pdf", XREFLESS, _array_contents(), _truncated_xref()]
+    batch = [
+        good[0], declined[0], good[1], big, declined[1], good[2],
+        declined[2], declined[3], good[3],
+    ]
+    grows = []
+    create = ctypes.create_string_buffer
+
+    def counting_create(*args):
+        grows.append(threading.get_ident())
+        return create(*args)
+
+    monkeypatch.setattr(ctypes, "create_string_buffer", counting_create)
+    got = []
+    # a new thread starts with no scratch (it is thread-local)
+    t = threading.Thread(target=lambda: got.extend(native(batch)))
+    t.start()
+    t.join()
+    # the initial scratch, then at least one growth on the -2 code
+    assert grows.count(t.ident) >= 2
+    monkeypatch.undo()
+    assert len(got) == len(batch)
+    for payload, res in zip(batch, got):
+        assert res == native([payload])[0]
+        if any(payload is d for d in declined):
+            assert res is None
+        else:
+            assert from_native(res) == folded(summary_from_pure(payload))
+    assert from_native(got[3])[1] == 2000
 
 
 def test_oversized_second_xref_subsection_no_oob():

@@ -43,6 +43,20 @@ def test_read_corpus_rejects_unknown_format(tmp_path):
             read_corpus(str(tmp_path), file_format=fmt)
 
 
+@pytest.mark.parametrize("cpus, actors", [(1, 1), (2, 1), (3, 2), (4, 2), (32, 24)])
+def test_default_concurrency_leaves_a_cpu_for_reads(monkeypatch, cpus, actors):
+    """The default extract pool always leaves one CPU to the read tasks, so
+    1 or 2 CPUs get one actor, and stays within [2, MAX_EXTRACT_ACTORS]
+    otherwise."""
+    import ray
+
+    from html_parser_ray.pipelines.extraction import _default_concurrency
+
+    monkeypatch.setattr(ray, "is_initialized", lambda: True)
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": float(cpus)})
+    assert _default_concurrency() == actors
+
+
 def test_split_and_reassemble_roundtrip_local():
     """Split + extract + reassemble must equal direct extraction (no Ray)."""
     t = generate_documents(8, seed=42, giant_doc_every=4, giant_doc_html_bytes=30_000)
