@@ -1,4 +1,5 @@
-"""Per-document span extraction: interleaved input spans -> ordered output spans.
+"""Per-document span extraction, the DOM oracle: interleaved input spans ->
+ordered output spans.
 
 Input row shape (BASELINE.json input_hint):
 ``doc_id: str, spans: list[{kind, text, media_ref, offset}]`` with
@@ -6,8 +7,9 @@ Input row shape (BASELINE.json input_hint):
 
 Output row: ``doc_id, spans_out: list[{kind, text, media_ref, offset}]`` where
 - ``text`` spans pass through with whitespace-normalized text;
-- ``html`` spans tokenize + parse + boilerplate-strip into one output span per
-  kept text block, text equal to the reference-semantics normalized innerText;
+- ``html`` spans tokenize + parse (``parse_html``) + boilerplate-strip
+  (``extract_text_blocks``) into one output span per kept text block, text
+  equal to the reference-semantics normalized innerText;
 - ``media`` spans route through the layout branch and pass their media_ref
   through with layout metadata as text: ``layout_jsons`` probes one LRU memo
   for a batch's refs and decodes all its misses in one
@@ -15,6 +17,8 @@ Output row: ``doc_id, spans_out: list[{kind, text, media_ref, offset}]`` where
 
 Output ``offset`` renumbers 0..k-1 in document order (input order of spans,
 block order within an html span) — the per-row invariant the north rule pins.
+The batch stage (``stages/extract_stage.py``) runs the native HTML kernel and
+must equal this extractor span for span.
 """
 
 from __future__ import annotations
@@ -53,9 +57,14 @@ class ExtractStats:
 
 
 class SpanExtractor:
-    """Stateful per-document extractor: selector cache, heuristic config, the
-    layout parser and its memo live for the actor's lifetime (ref analog:
-    cached-selector API src/html/document.zig:366-368 + §2.5 actor state)."""
+    """Stateful per-document extractor: the heuristic config, the layout
+    parser and its memo live for the actor's lifetime (ref analog: §2.5
+    actor state). HTML always goes through the DOM; the native kernel runs
+    only in the batch stage, which holds one of these for its config, stats
+    and layout memo.
+
+    ``use_fused`` does nothing: it is accepted only because the benchmark's
+    oracle (``perfbench/checks.py``) still passes it."""
 
     def __init__(
         self,
@@ -74,19 +83,6 @@ class SpanExtractor:
             OrderedDict() if layout_memo else None
         )
         self.drop_whitespace_text = drop_whitespace_text
-        # ``use_fused``: the native kernel if available. It takes the two
-        # scalar thresholds; other drop_tags or class markers, a missing
-        # compiler and ``use_fused=False`` all run the DOM oracle path
-        # (byte parity pinned by tests/test_native_parity.py)
-        self._native = None
-        cfg = self.config
-        scalars_only = cfg == ExtractConfig(
-            max_link_density=cfg.max_link_density, min_text_len=cfg.min_text_len
-        )
-        if use_fused and scalars_only:
-            from html_parser_ray.native import get_native_extractor
-
-            self._native = get_native_extractor()
         self.stats = ExtractStats()
 
     def layout_jsons(self, refs: "list[str]") -> "list[bytes]":
@@ -132,71 +128,38 @@ class SpanExtractor:
         """``layout_jsons([ref])[0]``."""
         return self.layout_jsons([ref])[0]
 
-    def extract_columns(
-        self, kinds: list[str], texts: list[bytes], media_refs: list[str]
-    ) -> tuple[list[str], list[bytes], list[str], list[int]]:
-        """Columnar fast path: one document's parallel input span columns in,
-        parallel output columns (kind, text_bytes, media_ref, offset) out.
+    def extract_document(self, spans: list[dict]) -> list[dict]:
+        """Ordered output span list for one document's input span list.
 
-        ``texts`` are UTF-8 BYTES (Arrow's native string representation cast
-        to binary upstream) — the engine is byte-oriented throughout, so no
-        str round-trip happens on the hot path. Output texts are UTF-8 bytes
-        too; the batch stage casts back to an Arrow string column.
-        """
+        Text is handled as UTF-8 bytes throughout and decoded once per output
+        span. An html span the parser raises on emits no blocks and counts
+        in ``stats.parse_errors``; unknown kinds are dropped."""
+        spans = spans or []
         st = self.stats
         st.docs += 1
-        st.spans_in += len(kinds)
-        o_kind: list[str] = []
-        o_text: list[bytes] = []
-        o_media: list[str] = []
-        for kind, text, media_ref in zip(kinds, texts, media_refs):
+        st.spans_in += len(spans)
+        out: "list[tuple[str, bytes, str]]" = []
+        for s in spans:
+            kind = s["kind"]
             if kind == "text":
-                norm = normalize_bytes(text or b"")
+                norm = normalize_bytes((s.get("text") or "").encode("utf-8"))
                 if norm:
-                    o_kind.append("text")
-                    o_text.append(norm)
-                    o_media.append("")
+                    out.append(("text", norm, ""))
             elif kind == "html":
-                raw = text or b""
+                raw = (s.get("text") or "").encode("utf-8")
                 st.html_bytes += len(raw)
                 try:
-                    blocks = None
-                    if self._native is not None:
-                        blocks = self._native(
-                            raw,
-                            self.drop_whitespace_text,
-                            self.config.max_link_density,
-                            self.config.min_text_len,
-                        )
-                    if blocks is None:
-                        doc = parse_html(raw, self.drop_whitespace_text)
-                        blocks = extract_text_blocks(doc, self.config)
+                    doc = parse_html(raw, self.drop_whitespace_text)
+                    blocks = extract_text_blocks(doc, self.config)
                 except Exception:
                     st.parse_errors += 1
                     blocks = []
-                for blk in blocks:
-                    o_kind.append("text")
-                    o_text.append(blk)
-                    o_media.append("")
+                out.extend(("text", blk, "") for blk in blocks)
             elif kind == "media":
-                ref = media_ref or ""
-                o_kind.append("media")
-                o_text.append(self.layout_json(ref))
-                o_media.append(ref)
-            # unknown kinds are dropped deterministically
-        st.spans_out += len(o_kind)
-        return o_kind, o_text, o_media, list(range(len(o_kind)))
-
-    def extract_document(self, spans: list[dict]) -> list[dict]:
-        """Ordered output span list for one document's input span list
-        (row-oriented convenience wrapper over the columnar path)."""
-        spans = spans or []
-        k, t, m, o = self.extract_columns(
-            [s["kind"] for s in spans],
-            [(s.get("text") or "").encode("utf-8") for s in spans],
-            [s.get("media_ref") or "" for s in spans],
-        )
+                ref = s.get("media_ref") or ""
+                out.append(("media", self.layout_json(ref), ref))
+        st.spans_out += len(out)
         return [
-            {"kind": kk, "text": tt.decode("utf-8", "replace"), "media_ref": mm, "offset": oo}
-            for kk, tt, mm, oo in zip(k, t, m, o)
+            {"kind": k, "text": t.decode("utf-8", "replace"), "media_ref": m, "offset": i}
+            for i, (k, t, m) in enumerate(out)
         ]

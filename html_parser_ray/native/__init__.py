@@ -1,27 +1,30 @@
 """Optional native (C) kernels: HTML text-block extraction and PDF summary.
 
-``get_native_extractor()`` returns ``extract_blocks_native(source,
-drop_whitespace_text=False, max_link_density=0.5, min_text_len=1) ->
-list[bytes] | None`` and ``get_native_batch_extractor()`` the one-call-per-
-batch twin; ``get_native_pdf_summary()`` returns ``pdf_layout_batch(payloads)
--> list[tuple | None]``, one C call for a list of PDF payloads giving per
-payload ``(num_pages, n_text_spans, n_rects, joined span text)`` or None for
-a payload the pure parser must take. All are None when unavailable. Each
-shared library compiles on first use from the in-repo C source with the
-system compiler (cached under the per-user ``~/.cache/hpr_native`` keyed by
-a source hash, ownership-checked before loading); ANY failure — no
-compiler, compile error, load error — yields None and extraction runs on
-the DOM oracle path (``parse_html`` + ``extract_text_blocks``) or the pure
-PDF parser, so the engine never depends on a toolchain. Set
-``GRAFT_DISABLE_NATIVE=1`` to force the DOM path.
+Each kernel has one entry point, called once per batch.
+``get_native_batch_extractor()`` returns ``extract_blocks_batched(values_addr,
+offsets, total_bytes, drop_ws, max_link_density=0.5, min_text_len=1) ->
+(blocks, block_lens, doc_nblocks) | None``, one C call over a batch of
+documents laid out as an Arrow binary array (a values buffer and int64
+offsets into it). ``get_native_pdf_summary()`` returns
+``pdf_layout_batch(payloads) -> list[tuple | None]``, one C call for a list
+of PDF payloads giving per payload ``(num_pages, n_text_spans, n_rects,
+joined span text)`` or None for a payload the pure parser must take. Both
+are None when unavailable. Each shared library compiles on first use from
+the in-repo C source with the system compiler (cached under the per-user
+``~/.cache/hpr_native`` keyed by a source hash, ownership-checked before
+loading); ANY failure — no compiler, compile error, load error — yields
+None and extraction runs on the DOM oracle path (``parse_html`` +
+``extract_text_blocks``) or the pure PDF parser, so the engine never depends
+on a toolchain. Set ``GRAFT_DISABLE_NATIVE=1`` to force the DOM path.
 
 The HTML kernel uses the default ExtractConfig's tag tables and class/id
 markers and takes the two scalar thresholds as arguments; configs with other
 ``drop_tags`` or class markers run on the DOM path. Byte-parity with the DOM
 oracle is pinned by tests/test_native_parity.py, tests/test_fused_parity.py,
-tests/test_tag_table_parity.py and tests/test_extraction_hypothesis.py; the
-PDF kernel's parity with the pure parser by tests/test_pdf_native_parity.py
-and tests/test_layout_json_hypothesis.py.
+tests/test_tag_table_parity.py and tests/test_extraction_hypothesis.py, all
+through this one batch entry point; the PDF kernel's parity with the pure
+parser by tests/test_pdf_native_parity.py and
+tests/test_layout_json_hypothesis.py.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fused_extr
 
 _lock = threading.Lock()
 _cached = False
-_fn = None
+_bfn = None
 
 
 def _cpu_tag() -> str:
@@ -132,20 +135,6 @@ def _build_lib():
     lib = _compile_and_load(_C_SOURCE, "hpr_fused", [])
     if lib is None:
         return None
-    fn = lib.hpr_extract_blocks
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [
-        ctypes.c_char_p,
-        ctypes.c_int64,
-        ctypes.c_int,
-        ctypes.c_void_p,
-        ctypes.c_int64,
-        ctypes.POINTER(ctypes.c_int64),
-        ctypes.c_int64,
-        ctypes.POINTER(ctypes.c_int64),
-        ctypes.c_double,  # max_link_density
-        ctypes.c_double,  # min_text_len
-    ]
     bfn = lib.hpr_extract_blocks_batch
     bfn.restype = ctypes.c_int64
     bfn.argtypes = [
@@ -162,65 +151,7 @@ def _build_lib():
         ctypes.c_double,  # max_link_density
         ctypes.c_double,  # min_text_len
     ]
-    return fn, bfn
-
-
-def _make_wrapper(fn):
-    c_int64 = ctypes.c_int64
-    string_at = ctypes.string_at
-    local = threading.local()
-
-    def extract_blocks_native(
-        source: bytes,
-        drop_whitespace_text: bool = False,
-        max_link_density: float = 0.5,
-        min_text_len: int = 1,
-    ) -> "list[bytes] | None":
-        """Blocks for ``source`` under the default tag tables and the given
-        thresholds, or None if the native call reports a capacity/internal
-        error (the caller extracts on the DOM path).
-
-        Scratch buffers are thread-local and grow-only: per-call allocation
-        dominated small-document throughput otherwise (~25us -> ~4us/call)."""
-        n = len(source)
-        out_cap = getattr(local, "out_cap", 0)
-        if out_cap < n + 16:
-            out_cap = max(1 << 16, (n + 16) * 2)
-            local.out = ctypes.create_string_buffer(out_cap)
-            local.out_cap = out_cap
-        lens_cap = getattr(local, "lens_cap", 0)
-        need_lens = max(64, n // 4 + 8)
-        if lens_cap < need_lens:
-            lens_cap = max(1024, need_lens * 2)
-            local.lens = (c_int64 * lens_cap)()
-            local.lens_cap = lens_cap
-        out = local.out
-        lens = local.lens
-        n_blocks = c_int64(0)
-        rc = fn(
-            source,
-            n,
-            1 if drop_whitespace_text else 0,
-            out,
-            local.out_cap,
-            lens,
-            local.lens_cap,
-            ctypes.byref(n_blocks),
-            max_link_density,
-            min_text_len,
-        )
-        if rc != 0:
-            return None
-        blocks: list[bytes] = []
-        off = 0
-        base = ctypes.addressof(out)
-        for k in range(n_blocks.value):
-            ln = lens[k]
-            blocks.append(string_at(base + off, ln))
-            off += ln
-        return blocks
-
-    return extract_blocks_native
+    return bfn
 
 
 def _make_batch_wrapper(bfn):
@@ -278,36 +209,18 @@ def _make_batch_wrapper(bfn):
     return extract_blocks_batched
 
 
-def get_native_extractor():
-    """Compiled per-document extractor callable or None (thread-safe, cached)."""
-    _ensure_built()
-    return _fn
-
-
 def get_native_batch_extractor():
-    """Compiled batched extractor callable or None."""
-    _ensure_built()
-    return _bfn
-
-
-_bfn = None
-
-
-def _ensure_built():
-    global _cached, _fn, _bfn
+    """Compiled batched extractor callable (``extract_blocks_batched``
+    above) or None (thread-safe, cached)."""
+    global _cached, _bfn
     if _cached:
-        return
+        return _bfn
     with _lock:
         if not _cached:
-            built = _build_lib()
-            if built is not None:
-                fn, bfn = built
-                _fn = _make_wrapper(fn)
-                _bfn = _make_batch_wrapper(bfn)
-            else:
-                _fn = None
-                _bfn = None
+            bfn = _build_lib()
+            _bfn = None if bfn is None else _make_batch_wrapper(bfn)
             _cached = True
+    return _bfn
 
 
 # ---- PDF layout-summary kernel (pdf_summary.c, links zlib) -----------------

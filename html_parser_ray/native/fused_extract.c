@@ -9,17 +9,16 @@
  * scalar thresholds (max_link_density, min_text_len) are arguments. Configs
  * with other drop_tags or class markers run on the DOM path instead.
  *
- * ABI (ctypes):
- *   int64_t hpr_extract_blocks(const uint8_t* src, int64_t n,
+ * ABI (ctypes), one entry point for a batch of documents:
+ *   int64_t hpr_extract_blocks_batch(const uint8_t* values,
+ *                              const int64_t* offsets, int64_t n_docs,
  *                              int drop_whitespace_text,
  *                              uint8_t* out, int64_t out_cap,
  *                              int64_t* block_lens, int64_t lens_cap,
- *                              int64_t* n_blocks,
- *                              double max_link_density, double min_text_len);
- *   int64_t hpr_extract_blocks_batch(...same outputs per document batch...,
+ *                              int64_t* doc_nblocks, int64_t* n_blocks_total,
  *                              double max_link_density, double min_text_len);
  *   return 0 on success; <0 on capacity/internal errors (the caller extracts
- *   the input on the DOM path instead).
+ *   the batch on the DOM path instead).
  *
  * Compile: gcc -O3 -shared -fPIC -o fused_extract.so fused_extract.c
  */
@@ -1000,20 +999,6 @@ done:
     ctx->own_tail = own_tail;
     ctx->idmap = idmap;
     ctx->block_stack = block_stack;
-    return rc;
-}
-
-int64_t hpr_extract_blocks(const uint8_t *s, int64_t n, int drop_ws_text,
-                           uint8_t *out, int64_t out_cap, int64_t *block_lens,
-                           int64_t lens_cap, int64_t *n_blocks,
-                           double max_link_density, double min_text_len) {
-    Ctx ctx;
-    if (!ctx_init(&ctx)) return -1;
-    int64_t bytes_doc = 0;
-    int64_t rc = extract_one(&ctx, s, n, drop_ws_text, out, 0, out_cap,
-                             block_lens, 0, lens_cap, n_blocks, &bytes_doc,
-                             max_link_density, min_text_len);
-    ctx_free(&ctx);
     return rc;
 }
 

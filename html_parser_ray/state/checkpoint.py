@@ -351,9 +351,9 @@ def verify_sample(
 ) -> dict:
     """Per-row invariant self-check (the north rule's span-sequence equality):
     re-extract a deterministic sample of documents with the DOM oracle
-    (``SpanExtractor(use_fused=False, layout_memo=False)``, no native PDF
-    summary) and compare span sequences (kind, text, media_ref, offset)
-    against the committed output. No fast path of the run is shared with
+    (``SpanExtractor(layout_memo=False)``, no native PDF summary) and
+    compare span sequences (kind, text, media_ref, offset) against the
+    committed output. No fast path of the run is shared with
     the check, so a kernel bug shows up as a mismatch.
 
     The sample is drawn from the INPUT (the ``sample_docs`` smallest
@@ -414,7 +414,6 @@ def verify_sample(
         config=run.config,
         layout_model=run.layout.model_name,
         drop_whitespace_text=run.drop_whitespace_text,
-        use_fused=False,
         layout_memo=False,
     )
     ex.layout._native = None

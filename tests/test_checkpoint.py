@@ -108,9 +108,13 @@ def test_verify_sample_with_non_default_thresholds(tmp_path):
 @pytest.mark.usefixtures("ray_session")
 def test_verify_sample_checks_against_the_dom_oracle(tmp_path, monkeypatch):
     """The check re-extracts with the DOM oracle, not with the run's native
-    kernel: with the per-document kernel replaced by one that drops every
-    block, a correct run still verifies clean."""
+    kernel: with the batch kernel replaced, after the run, by one that drops
+    every block, the stage ``verify_sample`` builds for the run's config
+    holds the broken kernel and a correct run still verifies clean."""
+    import numpy as np
+
     import html_parser_ray.native as native_mod
+    from html_parser_ray.stages.extract_stage import ExtractSpansBatch
     from html_parser_ray.state.checkpoint import verify_sample
 
     inp = str(tmp_path / "corpus")
@@ -118,9 +122,14 @@ def test_verify_sample_checks_against_the_dom_oracle(tmp_path, monkeypatch):
     write_corpus_parquet(inp, 30, seed=42, rows_per_file=15)
     run_resumable_extraction(inp, out, num_partitions=2, wave_size=2, batch_size=8)
 
+    def drop_every_block(values_addr, offsets, *rest):
+        empty = np.zeros(0, dtype=np.int64)
+        return memoryview(b""), empty, np.zeros(len(offsets) - 1, dtype=np.int64)
+
     monkeypatch.setattr(
-        native_mod, "get_native_extractor", lambda: (lambda *a, **k: [])
+        native_mod, "get_native_batch_extractor", lambda: drop_every_block
     )
+    assert ExtractSpansBatch()._html_kernel is drop_every_block
     assert verify_sample(out, inp, sample_docs=20) == {"checked": 20, "mismatches": 0}
 
 

@@ -375,7 +375,7 @@ def _decode_log(extractor) -> "list[str]":
 
 
 def _assert_oracle_equal(table, out) -> None:
-    oracle = SpanExtractor(use_fused=False, layout_memo=False)
+    oracle = SpanExtractor(layout_memo=False)
     oracle.layout._native = None
     want = [oracle.extract_document(spans) for spans in table.column("spans").to_pylist()]
     assert out.column("spans_out").to_pylist() == want

@@ -1,6 +1,8 @@
 """Property-based extraction parity: DOM walk == native C, over adversarial
-byte blobs (arbitrary binary + html-ish soup). Without a compiler there is
-only the DOM path and these tests skip.
+byte blobs (arbitrary binary + html-ish soup), one blob per kernel call and
+several blobs in one call (the kernel is called through its one batch entry
+point, ``tests/_native_kernel.py``). Without a compiler there is only the
+DOM path and these tests skip.
 
 A 4000-example offline run passed clean; the committed budget keeps the
 suite fast while still exploring fresh inputs every run (hypothesis derives
@@ -9,19 +11,15 @@ examples from a stored database plus randomization).
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _native_kernel import native_batch, native_blocks, needs_kernel
 from html_parser_ray.extract.boilerplate import ExtractConfig, extract_text_blocks
 from html_parser_ray.html.document import parse_html
-from html_parser_ray.native import get_native_extractor
 
-_NAT = get_native_extractor()
 _CFG = ExtractConfig()
-pytestmark = pytest.mark.skipif(
-    _NAT is None, reason="native extractor unavailable (no compiler)"
-)
+pytestmark = needs_kernel
 
 _FRAGMENTS = st.sampled_from(
     [
@@ -52,7 +50,17 @@ _BLOB = st.one_of(
 @given(_BLOB)
 def test_three_way_parity(data: bytes):
     dom = extract_text_blocks(parse_html(data), _CFG)
-    assert _NAT(data) == dom, data
+    assert native_blocks(data) == dom, data
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=list(HealthCheck))
+@given(st.lists(_BLOB, min_size=1, max_size=8))
+def test_multi_document_batch_parity(docs: "list[bytes]"):
+    """One kernel call over 1-8 blobs: each document's blocks, split by the
+    kernel's per-document counts, equal its own DOM blocks (scratch reused
+    across documents, blocks written at running offsets)."""
+    dom = [extract_text_blocks(parse_html(d), _CFG) for d in docs]
+    assert native_batch(docs) == dom, docs
 
 
 def test_atomic_name_parity_regressions():
@@ -73,11 +81,11 @@ def test_atomic_name_parity_regressions():
     for data in cases:
         for dw in (False, True):
             dom = extract_text_blocks(parse_html(data, dw), _CFG)
-            assert _NAT(data, dw) == dom, (data, dw)
+            assert native_blocks(data, dw) == dom, (data, dw)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=list(HealthCheck))
 @given(_BLOB)
 def test_three_way_parity_drop_whitespace(data: bytes):
     dom = extract_text_blocks(parse_html(data, True), _CFG)
-    assert _NAT(data, True) == dom, data
+    assert native_blocks(data, True) == dom, data

@@ -1,11 +1,11 @@
 """The native single-pass kernel must be byte-identical to parse+walk.
 
 The DOM path (parse_html -> extract_text_blocks) is the oracle; the native
-kernel (``get_native_extractor``) is the hot-path twin for every config that
-differs from the default only in its scalar thresholds. Any divergence on
-any corpus family, edge-case fixture, or config variant is a bug in the
-kernel's state machine. Configs with other drop tags or class markers must
-route to the DOM path.
+kernel, called through its one batch entry point (``tests/_native_kernel.py``),
+is the hot-path twin for every config that differs from the default only in
+its scalar thresholds. Any divergence on any corpus family, edge-case
+fixture, or config variant is a bug in the kernel's state machine. Configs
+with other drop tags or class markers run on the DOM path.
 """
 
 from __future__ import annotations
@@ -14,13 +14,11 @@ import random
 
 import pytest
 
+from _native_kernel import native_blocks
 from html_parser_ray.extract.boilerplate import ExtractConfig, extract_text_blocks
 from html_parser_ray.extract.extractor import SpanExtractor
 from html_parser_ray.html.document import parse_html
-from html_parser_ray.native import get_native_extractor
 from html_parser_ray.sources import corpus as corpus_mod
-
-_NAT = get_native_extractor()
 
 EDGE_CASES = [
     b"",
@@ -84,9 +82,7 @@ def _dom_blocks(src: bytes, cfg, drop_ws=False):
 
 
 def _native_blocks(src: bytes, cfg, drop_ws=False):
-    if _NAT is None:
-        pytest.skip("native extractor unavailable (no compiler)")
-    return _NAT(src, drop_ws, cfg.max_link_density, cfg.min_text_len)
+    return native_blocks(src, drop_ws, cfg.max_link_density, cfg.min_text_len)
 
 
 @pytest.mark.parametrize("case_idx", range(len(EDGE_CASES)))
@@ -100,7 +96,6 @@ def test_edge_case_parity(case_idx):
         if cfg != scalars:
             # a tag-table or class-marker config: the extractor runs the DOM path
             ex = SpanExtractor(config=cfg)
-            assert ex._native is None, cfg
             got = [s["text"].encode() for s in ex.extract_document(spans)]
             assert got == _dom_blocks(src, cfg), (case_idx, cfg)
             continue

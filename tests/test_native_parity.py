@@ -1,6 +1,8 @@
 """Native (C) extractor must be byte-identical to the DOM oracle
-(``extract_text_blocks(parse_html(...))``), per document and through the
-batch stage, for the default config and for every scalar-threshold variant.
+(``extract_text_blocks(parse_html(...))``), per document, per multi-document
+batch and through the batch stage, for the default config and for every
+scalar-threshold variant. The kernel is called through its one batch entry
+point (``tests/_native_kernel.py``).
 
 Skips when the native path is unavailable (no system compiler) — the engine
 then runs the DOM path everywhere, covered by the other suites.
@@ -14,19 +16,16 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from _native_kernel import native_batch, native_blocks, needs_kernel
 from html_parser_ray.extract.boilerplate import ExtractConfig, extract_text_blocks
 from html_parser_ray.extract.extractor import SpanExtractor
 from html_parser_ray.html.document import parse_html
-from html_parser_ray.native import get_native_extractor
 from html_parser_ray.sources import corpus as corpus_mod
 from html_parser_ray.sources.corpus import SPAN_STRUCT
 from html_parser_ray.stages.extract_stage import ExtractSpansBatch
 from tests.test_fused_parity import EDGE_CASES
 
-nat = get_native_extractor()
-pytestmark = pytest.mark.skipif(
-    nat is None, reason="native extractor unavailable (no compiler)"
-)
+pytestmark = needs_kernel
 
 # scalar-threshold variants the native kernel takes as arguments
 SCALAR_CONFIGS = [
@@ -35,6 +34,11 @@ SCALAR_CONFIGS = [
     ExtractConfig(max_link_density=1.0),
     ExtractConfig(min_text_len=0),
     ExtractConfig(min_text_len=5),
+]
+
+PATHOLOGICAL = [
+    b"", b"<", b"&", b"\x00" * 64, b"<" * 500, b"&" * 500, b">" * 100,
+    b"<p>" + b"&amp;" * 2000 + b"</p>", bytes(range(256)) * 4,
 ]
 
 
@@ -48,19 +52,6 @@ def _corpus_sources(per_family: int = 40) -> "list[bytes]":
         for seed in range(per_family):
             out.append(fam(random.Random((fi << 16) ^ seed)).encode())
     return out
-
-
-def test_edge_cases_parity():
-    for src in EDGE_CASES:
-        assert nat(src) == dom(src), src
-
-
-def test_corpus_families_parity():
-    for fi, fam in enumerate(corpus_mod._HTML_FAMILIES):
-        for seed in range(40):
-            rng = random.Random((fi << 16) ^ seed)
-            src = fam(rng).encode()
-            assert nat(src) == dom(src), (fi, seed)
 
 
 def test_fuzz_parity():
@@ -80,37 +71,29 @@ def test_fuzz_parity():
         src = "".join(
             rng.choice(pieces) for _ in range(rng.randint(1, 80))
         ).encode()
-        assert nat(src) == dom(src), (seed, src[:120])
-
-
-def test_drop_whitespace_parity():
-    for src in EDGE_CASES:
-        assert nat(src, True) == dom(src, True), src
-
-
-def test_extractor_routes_native_and_falls_back():
-    # the default and scalar-only configs run the native kernel
-    assert SpanExtractor()._native is not None
-    for cfg in SCALAR_CONFIGS:
-        assert SpanExtractor(config=cfg)._native is not None, cfg
-    # tag-table and class-marker configs, and use_fused=False, run the DOM path
-    for cfg in (
-        ExtractConfig(drop_tags=frozenset(b"script style".split())),
-        ExtractConfig(drop_class_substrings=(), drop_class_tokens=()),
-    ):
-        assert SpanExtractor(config=cfg)._native is None, cfg
-    assert SpanExtractor(use_fused=False)._native is None
-    spans = [{"kind": "html", "text": "<p>hello <a href='#'>x</a></p>", "media_ref": "", "offset": 0}]
-    assert SpanExtractor().extract_document(spans) == (
-        SpanExtractor(use_fused=False).extract_document(spans)
-    )
+        assert native_blocks(src) == dom(src), (seed, src[:120])
 
 
 def test_empty_and_pathological_inputs():
-    cases = [b"", b"<", b"&", b"\x00" * 64, b"<" * 500, b"&" * 500, b">" * 100,
-             b"<p>" + b"&amp;" * 2000 + b"</p>", bytes(range(256)) * 4]
-    for src in cases:
-        assert nat(src) == dom(src), src[:40]
+    for src in PATHOLOGICAL:
+        assert native_blocks(src) == dom(src), src[:40]
+
+
+def test_edge_and_pathological_inputs_as_one_batch():
+    """The edge cases and pathological inputs as raw bytes (NUL, 0xff, every
+    byte value, 4,200-byte class names) in ONE kernel call, forward and
+    reversed: the kernel reuses its scratch across documents and writes at
+    running offsets, and each document's blocks must still equal its DOM
+    blocks, under the default config, each scalar variant and drop_ws."""
+    srcs = list(EDGE_CASES) + PATHOLOGICAL
+    for cfg in [ExtractConfig(), *SCALAR_CONFIGS]:
+        for drop_ws in (False, True):
+            want = [dom(src, drop_ws, cfg) for src in srcs]
+            for order in (1, -1):
+                got = native_batch(
+                    srcs[::order], drop_ws, cfg.max_link_density, cfg.min_text_len
+                )
+                assert got == want[::order], (cfg, drop_ws, order)
 
 
 def _html_table(sources: "list[bytes]") -> pa.Table:
@@ -130,7 +113,7 @@ def _html_table(sources: "list[bytes]") -> pa.Table:
 
 
 def _oracle_rows(table: pa.Table, cfg: ExtractConfig) -> "list[list[dict]]":
-    ex = SpanExtractor(config=cfg, use_fused=False, layout_memo=False)
+    ex = SpanExtractor(config=cfg, layout_memo=False)
     ex.layout._native = None
     return [ex.extract_document(r) for r in table.column("spans").to_pylist()]
 
@@ -199,18 +182,16 @@ def _shapes() -> "list[pa.Table]":
 
 def test_scalar_config_variants_extractor_and_stage():
     """The default and each scalar-threshold variant, with the native
-    kernel active, equal the DOM oracle per document (SpanExtractor) and
-    per batch (ExtractSpansBatch) over the edge cases and the corpus
-    families. Per batch, the batch shapes of ``_shape_batches`` are also
-    fed whole, as a slice at a nonzero offset and as a two-chunk table, to
-    the native kernel and to the DOM adapter."""
+    kernel active, equal the DOM oracle per document (a one-document kernel
+    call) and per batch (ExtractSpansBatch) over the edge cases and the
+    corpus families. Per batch, the batch shapes of ``_shape_batches`` are
+    also fed whole, as a slice at a nonzero offset and as a two-chunk table,
+    to the native kernel and to the DOM adapter."""
     sources = list(EDGE_CASES) + _corpus_sources(per_family=10)
     shapes = _shapes()
     for cfg in [ExtractConfig(), *SCALAR_CONFIGS]:
-        ex = SpanExtractor(config=cfg)
-        assert ex._native is not None
         for src in sources:
-            got = ex._native(src, False, cfg.max_link_density, cfg.min_text_len)
+            got = native_blocks(src, False, cfg.max_link_density, cfg.min_text_len)
             assert got == dom(src, cfg=cfg), (cfg, src[:80])
         # the stage decodes html as UTF-8 text, so compare on decoded input
         table = _html_table(sources)

@@ -1,7 +1,9 @@
 """Systematic per-tag parity: every tag that ANY classification table
 mentions (flags, drop, block, implicit-close) is driven through the DOM and
-native paths in several structural contexts (skipped without a compiler,
-when the DOM path is the only one).
+native paths in several structural contexts; the native kernel is called
+through its one batch entry point (``tests/_native_kernel.py``), one
+document per call (skipped without a compiler, when the DOM path is the
+only one).
 
 Rationale: the round-2 review found the native kernel misclassifying
 <address> as a block tag — a divergence that survived 1600+ fuzz cases
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from _native_kernel import native_blocks, needs_kernel
 from html_parser_ray.extract.boilerplate import (
     BLOCK_TAGS,
     DEFAULT_DROP_TAGS,
@@ -21,13 +24,9 @@ from html_parser_ray.extract.boilerplate import (
 )
 from html_parser_ray.html import tags
 from html_parser_ray.html.document import parse_html
-from html_parser_ray.native import get_native_extractor
 
-_NAT = get_native_extractor()
 _CFG = ExtractConfig()
-pytestmark = pytest.mark.skipif(
-    _NAT is None, reason="native extractor unavailable (no compiler)"
-)
+pytestmark = needs_kernel
 
 ALL_TAGS = sorted(
     set(tags.TAG_FLAGS)
@@ -55,11 +54,11 @@ def test_every_classified_tag_parity(tag):
         n = tmpl.count(b"%s")
         src = tmpl % ((tag,) * n)
         dom = extract_text_blocks(parse_html(src), _CFG)
-        assert _NAT(src) == dom, (tag, tmpl)
+        assert native_blocks(src) == dom, (tag, tmpl)
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: t.decode())
 def test_every_classified_tag_parity_drop_ws(tag):
     src = b"<div>\n  <%s>\n  x\n  </%s>\n</div>" % (tag, tag)
     dom = extract_text_blocks(parse_html(src, True), _CFG)
-    assert _NAT(src, True) == dom, tag
+    assert native_blocks(src, True) == dom, tag

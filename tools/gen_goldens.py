@@ -48,7 +48,7 @@ def gen_extract_corpus(n: int) -> pa.Table:
     from html_parser_ray.sources.corpus import generate_documents
 
     tbl = generate_documents(n, seed=42)
-    ex = SpanExtractor(use_fused=False, layout_memo=False)
+    ex = SpanExtractor(layout_memo=False)
     ex.layout._native = None
     rows_doc, rows_k, rows_t, rows_m, rows_o = [], [], [], [], []
     for doc_id, spans in zip(

@@ -243,7 +243,7 @@ def check_resume_parity(seed: int) -> str | None:
 def check_metrics_parity(seed: int) -> str | None:
     """``emit_metrics=True`` ENGINE INVARIANT, on a random corpus shape
     through the Ray stage: (a) every doc's spans_out equals the DOM oracle
-    (``SpanExtractor(use_fused=False)``, one doc at a time), and (b) the
+    (``SpanExtractor()``, one doc at a time), and (b) the
     per-row metrics match ground truth computed from the input table:
     spans_in == input span count, html_bytes == total UTF-8 bytes of the
     doc's html spans, spans_out == emitted span count, parse_errors == 0."""
@@ -261,7 +261,7 @@ def check_metrics_parity(seed: int) -> str | None:
     withm = build_extraction_pipeline(
         ray.data.from_arrow(t), batch_size=bs, emit_metrics=True
     ).take_all()
-    oracle = SpanExtractor(use_fused=False)
+    oracle = SpanExtractor()
     expected = {
         row["doc_id"]: oracle.extract_document(row["spans"]) for row in t.to_pylist()
     }
