@@ -38,7 +38,10 @@ def main(argv: list[str] | None = None) -> int:
     p_extract.add_argument("--output", required=True, help="output root")
     p_extract.add_argument("--format", default="parquet", choices=["parquet", "lance"])
     p_extract.add_argument("--num-partitions", type=int, default=64)
-    p_extract.add_argument("--batch-size", type=int, default=64)
+    p_extract.add_argument(
+        "--batch-size", type=int, default=None,
+        help="rows per extract batch (default: sized from the parquet footers)",
+    )
     p_extract.add_argument("--no-resume", action="store_true",
                            help="ignore existing manifest (reprocess everything)")
 

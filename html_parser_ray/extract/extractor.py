@@ -37,6 +37,8 @@ LAYOUT_MEMO_CAP = 1 << 16
 
 @dataclass
 class ExtractStats:
+    # ExtractSpansBatch calls: docs / batches is the rows per batch
+    batches: int = 0
     docs: int = 0
     spans_in: int = 0
     spans_out: int = 0

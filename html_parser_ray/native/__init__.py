@@ -170,8 +170,11 @@ def _make_batch_wrapper(bfn):
         Arrow binary-array data buffer); ``offsets_np``: int64 numpy array of
         n_docs+1 absolute offsets into it. Returns
         (out_memoryview, block_lens_np, doc_nblocks_np) or None on error
-        (the caller extracts the batch on the DOM path)."""
+        (the caller extracts the batch on the DOM path). The scratch is
+        thread-local and grow-only; a capacity code grows it and retries,
+        so no batch is declined for what an earlier batch left behind."""
         n_docs = len(offsets_np) - 1
+        # first guesses; a batch past either takes the grow-and-retry below
         out_cap = int(total_bytes) + 16
         if getattr(local, "out_cap", 0) < out_cap:
             local.out = ctypes.create_string_buffer(max(1 << 20, out_cap * 2))
@@ -183,28 +186,41 @@ def _make_batch_wrapper(bfn):
         if getattr(local, "docs_cap", 0) < n_docs:
             local.docs = np.empty(max(1024, n_docs * 2), dtype=np.int64)
             local.docs_cap = len(local.docs)
-        out = local.out
-        lens = local.lens
         docs = local.docs
+        # no valid batch needs more than this many output bytes or blocks
+        limit = 4 * (int(total_bytes) + n_docs) + (1 << 20)
         n_total = c_int64(0)
-        rc = bfn(
-            values_addr,
-            offsets_np.ctypes.data,
-            n_docs,
-            1 if drop_ws else 0,
-            ctypes.addressof(out),
-            local.out_cap,
-            lens.ctypes.data,
-            local.lens_cap,
-            docs.ctypes.data,
-            ctypes.byref(n_total),
-            max_link_density,
-            min_text_len,
-        )
+        while True:
+            rc = bfn(
+                values_addr,
+                offsets_np.ctypes.data,
+                n_docs,
+                1 if drop_ws else 0,
+                ctypes.addressof(local.out),
+                local.out_cap,
+                local.lens.ctypes.data,
+                local.lens_cap,
+                docs.ctypes.data,
+                ctypes.byref(n_total),
+                max_link_density,
+                min_text_len,
+            )
+            # capacity codes: -2 the block bytes, -3 the block lengths ran
+            # out (block-dense html has up to total_bytes // 4 blocks). The
+            # scratch that ran out doubles, up to a bound no valid output
+            # reaches, and the batch runs again.
+            if rc == -2 and local.out_cap < limit:
+                local.out = ctypes.create_string_buffer(local.out_cap * 2)
+                local.out_cap = len(local.out)
+            elif rc == -3 and local.lens_cap < limit:
+                local.lens = np.empty(local.lens_cap * 2, dtype=np.int64)
+                local.lens_cap = len(local.lens)
+            else:
+                break
         if rc != 0:
             return None
         nt = n_total.value
-        return memoryview(out), lens[:nt].copy(), docs[:n_docs].copy()
+        return memoryview(local.out), local.lens[:nt].copy(), docs[:n_docs].copy()
 
     return extract_blocks_batched
 

@@ -13,8 +13,9 @@ document is one long row in its batch, not a reason for an exchange.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
+import pyarrow.parquet as pq
 import ray.data
 
 from html_parser_ray.stages.extract_stage import ExtractSpansBatch
@@ -29,6 +30,51 @@ from html_parser_ray.stages.split import reassemble_group, split_batch  # noqa: 
 # most extract actors the default pool starts: past about this many, the
 # upstream read tasks starve for CPUs and the stage waits on its input
 MAX_EXTRACT_ACTORS = 24
+
+
+# Default rows per extract batch: about TARGET_BATCH_BYTES of uncompressed
+# ``spans``, estimated from the parquet footers. The per-batch fixed cost
+# (Ray dispatch, the emit's Arrow passes, one kernel call, one layout memo
+# probe) is then a small share of each batch, whatever the row size; the
+# bounds keep a batch of giant rows from being one row and a batch of tiny
+# rows from covering a whole file, which would stop read, extract and write
+# from overlapping.
+TARGET_BATCH_BYTES = 4 << 20
+MIN_BATCH_ROWS = 16
+MAX_BATCH_ROWS = 4096
+# without a footer to size from: Lance or in-memory input, an unreadable
+# file, zero rows
+FALLBACK_BATCH_ROWS = 256
+# footers read to size a batch, evenly spaced over the input's files
+SIZING_FOOTERS = 4
+
+
+def default_batch_size(paths: Sequence[str]) -> int:
+    """Rows per extract batch for the parquet files ``paths``:
+    ``TARGET_BATCH_BYTES`` over the bytes per row of the ``spans`` column
+    (its column chunks' ``total_uncompressed_size`` over ``num_rows``, from
+    at most ``SIZING_FOOTERS`` footers evenly spaced over ``paths``),
+    clamped to ``[MIN_BATCH_ROWS, MAX_BATCH_ROWS]``. ``FALLBACK_BATCH_ROWS``
+    when no footer gives a row: no paths, none readable as parquet, or
+    zero rows."""
+    n = min(len(paths), SIZING_FOOTERS)
+    rows = span_bytes = 0
+    for k in range(n):
+        try:
+            meta = pq.read_metadata(paths[k * len(paths) // n])
+        except (OSError, ValueError):  # missing, unreadable, not parquet
+            continue
+        rows += meta.num_rows
+        for g in range(meta.num_row_groups):
+            group = meta.row_group(g)
+            for c in range(group.num_columns):
+                col = group.column(c)
+                if col.path_in_schema.split(".")[0] == "spans":
+                    span_bytes += col.total_uncompressed_size
+    if not rows:
+        return FALLBACK_BATCH_ROWS
+    per_row = max(1, span_bytes // rows)
+    return max(MIN_BATCH_ROWS, min(MAX_BATCH_ROWS, TARGET_BATCH_BYTES // per_row))
 
 
 def _default_concurrency() -> int:
@@ -67,14 +113,18 @@ def build_extraction_pipeline(
     *,
     split_giant_docs: bool = False,
     concurrency: int | tuple[int, int] | None = None,
-    # 256 rows: large enough that per-batch dispatch is a small share of
-    # the work, small enough that batches pipeline across the actor pool
-    batch_size: int = 256,
+    batch_size: int | None = None,
     emit_metrics: bool = False,
     extractor_kwargs: dict[str, Any] | None = None,
 ) -> "ray.data.Dataset":
     """Compose the extraction pipeline over an input Dataset: one lazy,
     streaming ``map_batches`` over the extract actor pool.
+
+    ``batch_size`` is rows per extract batch. By default it comes from
+    ``default_batch_size`` over ``ds.input_files()``, which reads no data
+    (and lists no files once ``ds`` has a transform, so a caller that maps
+    the input first sizes from its own paths, as
+    ``run_resumable_extraction`` does).
 
     ``split_giant_docs`` does not change the plan: giant documents extract
     in place, like any other. It is accepted only because the benchmark's
@@ -84,6 +134,8 @@ def build_extraction_pipeline(
     kwargs["emit_metrics"] = emit_metrics
     if concurrency is None:
         concurrency = _default_concurrency()
+    if batch_size is None:
+        batch_size = default_batch_size(ds.input_files())
 
     return ds.map_batches(
         ExtractSpansBatch,

@@ -109,6 +109,7 @@ class ExtractSpansBatch:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         # the halving recursion stays below __call__, which subclasses wrap
+        self.extractor.stats.batches += 1
         return self._extract(batch)
 
     def _extract(self, batch: pa.Table) -> pa.Table:

@@ -188,7 +188,9 @@ def run_resumable_extraction(
     under ``output_root``. ``wave_size`` does not change the plan: every
     uncommitted partition runs in one execution. It is accepted only
     because the benchmark's ``giant_resumable`` job (``perfbench/job.py``)
-    still passes it.
+    still passes it. Without a ``batch_size`` in ``pipeline_kwargs``, rows
+    per extract batch come from ``default_batch_size`` over the footers of
+    the files this run extracts.
 
     Each manifest records its partition's input files with their row counts,
     ``row_count`` and ``span_count`` as written, and ``wave_wall_s``: the
@@ -260,6 +262,9 @@ def run_resumable_extraction(
             for f in plan[p]
         ]
         parts = [p for p in live for _ in plan[p]]
+        # the tag map below hides the files from the pipeline's own sizing
+        if pipeline_kwargs.get("batch_size") is None:
+            pipeline_kwargs["batch_size"] = extraction.default_batch_size(paths)
         ds = extraction.read_corpus(paths, include_paths=True).map_batches(
             tag_partitions,
             fn_kwargs={"paths": paths, "parts": parts},

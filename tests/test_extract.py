@@ -305,6 +305,8 @@ def test_output_over_int32_offsets_halves_batch(monkeypatch):
     assert out.drop(["metrics"]).equals(normal)
     assert [m["spans_out"] for m in out.column("metrics").to_pylist()] == [1, 1, 1, 1]
     assert stage.extractor.stats.native_fallbacks == 1
+    # one call, halved below it: one batch of four docs
+    assert (stage.extractor.stats.batches, stage.extractor.stats.docs) == (1, 4)
 
     with pytest.raises(OverflowError, match="'big'"):
         stage(_one_span_rows(["x" * 31], doc_ids=["big"]))

@@ -283,6 +283,24 @@ def test_stage_output_does_not_alias_native_scratch():
                         assert buf.address + buf.size <= lo or buf.address >= hi
 
 
+def test_kernel_scratch_grows_for_a_block_dense_batch_after_a_text_batch():
+    """The kernel's scratch is sized by the first batch that needs it; a
+    later batch with more blocks per byte must grow it, not be declined.
+    A ~200 KB text batch, then a 240 KB ``<p>a``x60,000 batch (60,000
+    blocks), through one fresh wrapper: no fallback, oracle output."""
+    from html_parser_ray import native
+
+    stage = ExtractSpansBatch()
+    stage._html_kernel = native._make_batch_wrapper(native._build_lib())
+    text = _html_table([b"word " * 40000])
+    dense = _html_table([b"<p>a" * 60000])
+    assert stage(text).column("spans_out").to_pylist() == _oracle_rows(text, ExtractConfig())
+    out = stage(dense).column("spans_out").to_pylist()
+    assert stage.extractor.stats.native_fallbacks == 0
+    assert len(out[0]) == 60001  # the lead text span and 60,000 blocks
+    assert out == _oracle_rows(dense, ExtractConfig())
+
+
 def test_batch_stage_counts_native_fallbacks():
     """The stage's two slower paths are chosen deliberately and counted in
     ``native_fallbacks``: a declined native call (DOM oracle for that batch)
