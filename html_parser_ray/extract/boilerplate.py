@@ -12,23 +12,27 @@ Deterministic by construction: same DOM in, same block decisions out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from html_parser_ray.html.text import NormState, decode_normalize_segment
 from html_parser_ray.html.tokenizer import KIND_ELEMENT, KIND_TEXT
 
+# The drop tables below are compiled into the native kernel too
+# (native/fused_extract.c); tests/test_tag_table_parity.py pins the two.
+
 # Subtrees dropped wholesale: scripts/styles are never content; nav/chrome
 # elements are boilerplate by role.
-DEFAULT_DROP_TAGS = frozenset(
+DROP_TAGS = frozenset(
     b"script style noscript template nav header footer aside form iframe "
     b"button select option label svg head title".split()
 )
 
 # class/id substrings that mark chrome blocks (checked on block elements only)
-DEFAULT_DROP_CLASS_SUBSTRINGS = (
+DROP_CLASS_SUBSTRINGS = (
     b"sidebar", b"advert", b"banner", b"cookie", b"popup",
     b"share", b"social", b"comment", b"related", b"menu", b"breadcrumb",
 )
-DEFAULT_DROP_CLASS_TOKENS = (b"ad", b"ads", b"nav", b"footer", b"header")
+DROP_CLASS_TOKENS = (b"ad", b"ads", b"nav", b"footer", b"header")
 
 # block-level elements that form candidate text blocks
 BLOCK_TAGS = frozenset(
@@ -41,23 +45,16 @@ LINK_TAG = b"a"
 
 @dataclass(frozen=True)
 class ExtractConfig:
-    """Extraction thresholds (part of this engine's spec, pinned by tests)."""
+    """Extraction thresholds (part of this engine's spec, pinned by tests):
+    the two scalars the native kernel takes as arguments."""
 
-    drop_tags: frozenset = DEFAULT_DROP_TAGS
-    drop_class_substrings: tuple = DEFAULT_DROP_CLASS_SUBSTRINGS
-    drop_class_tokens: tuple = DEFAULT_DROP_CLASS_TOKENS
     # a block whose link-text/text ratio exceeds this is navigation-like
     max_link_density: float = 0.5
     # minimum normalized text length for a block to be emitted
     min_text_len: int = 1
 
 
-from functools import lru_cache
-
-
-def _region_marks_boilerplate_impl(
-    region: bytes, drop_class_substrings: tuple, drop_class_tokens: tuple
-) -> bool:
+def _region_marks_boilerplate_impl(region: bytes) -> bool:
     """Pure function of the raw attr-region bytes -> boilerplate verdict.
 
     Memoized per process via the wrapper below: class/id attribute regions
@@ -77,17 +74,17 @@ def _region_marks_boilerplate_impl(
     if not blob_parts:
         return False
     blob = b" ".join(blob_parts)
-    for sub in drop_class_substrings:
+    for sub in DROP_CLASS_SUBSTRINGS:
         if sub in blob:
             return True
     tokens = blob.split()
-    for tok in drop_class_tokens:
+    for tok in DROP_CLASS_TOKENS:
         if tok in tokens:
             return True
     return False
 
 
-def _class_id_marks_boilerplate(doc, idx: int, cfg: ExtractConfig) -> bool:
+def _class_id_marks_boilerplate(doc, idx: int) -> bool:
     # cheap substring precheck on the raw attr region: most content elements
     # carry no class/id at all, so skip the full attribute parse for them
     # ("id" in region may false-positive on e.g. "width" — conservative)
@@ -100,12 +97,10 @@ def _class_id_marks_boilerplate(doc, idx: int, cfg: ExtractConfig) -> bool:
     rl = region.lower()
     if b"class" not in rl and b"id" not in rl:
         return False
-    return _region_marks_boilerplate(
-        region, cfg.drop_class_substrings, cfg.drop_class_tokens
-    )
+    return _region_marks_boilerplate(region)
 
 
-def compute_drop_mask(doc, cfg: ExtractConfig) -> list[bool]:
+def compute_drop_mask(doc) -> list[bool]:
     """Per-node boolean: True when the node lies inside a dropped subtree.
 
     Single preorder pass using subtree_end windows — the index-array analog of
@@ -121,7 +116,7 @@ def compute_drop_mask(doc, cfg: ExtractConfig) -> list[bool]:
         if doc.kind[i] != KIND_ELEMENT:
             continue
         name = doc.name[i]
-        if name in cfg.drop_tags or _class_id_marks_boilerplate(doc, i, cfg):
+        if name in DROP_TAGS or _class_id_marks_boilerplate(doc, i):
             mask[i] = True
             end = doc.subtree_end[i]
             if end > drop_until:
@@ -171,7 +166,7 @@ def extract_text_blocks(doc, cfg: ExtractConfig | None = None) -> list[bytes]:
     sub_end = doc.subtree_end
     src = doc.source
     ns, ne = doc.name_start, doc.name_end
-    drop_tags = cfg.drop_tags
+    drop_tags = DROP_TAGS
 
     # single fused preorder pass: dropped subtrees are *jumped over* (never
     # visited), link/block membership tracked with subtree-end watermarks and
@@ -185,8 +180,6 @@ def extract_text_blocks(doc, cfg: ExtractConfig | None = None) -> list[bytes]:
 
     attr_end = doc.attr_end
     region_marks = _region_marks_boilerplate
-    drop_subs = cfg.drop_class_substrings
-    drop_toks = cfg.drop_class_tokens
     block_tags = BLOCK_TAGS
 
     i = 1
@@ -207,9 +200,7 @@ def extract_text_blocks(doc, cfg: ExtractConfig | None = None) -> list[bytes]:
             if aend > nend:
                 region = src[nend:aend]
                 rl = region.lower()
-                if (b"class" in rl or b"id" in rl) and region_marks(
-                    region, drop_subs, drop_toks
-                ):
+                if (b"class" in rl or b"id" in rl) and region_marks(region):
                     i = sub_end[i] + 1
                     continue
             if name in block_tags:
@@ -255,11 +246,7 @@ _region_marks_cached = lru_cache(maxsize=1 << 16)(_region_marks_boilerplate_impl
 _MEMO_MAX_REGION = 1024
 
 
-def _region_marks_boilerplate(
-    region: bytes, drop_class_substrings: tuple, drop_class_tokens: tuple
-) -> bool:
+def _region_marks_boilerplate(region: bytes) -> bool:
     if len(region) > _MEMO_MAX_REGION:
-        return _region_marks_boilerplate_impl(
-            region, drop_class_substrings, drop_class_tokens
-        )
-    return _region_marks_cached(region, drop_class_substrings, drop_class_tokens)
+        return _region_marks_boilerplate_impl(region)
+    return _region_marks_cached(region)

@@ -35,6 +35,18 @@ from html_parser_ray.html.text import normalize_bytes
 LAYOUT_MEMO_CAP = 1 << 16
 
 
+def dom_blocks(
+    src: bytes, drop_ws: bool, config: ExtractConfig
+) -> "tuple[list[bytes], int]":
+    """One html span through the DOM: its text blocks and its parse error
+    count, ``([], 1)`` when the parser raises. The oracle's html arm and
+    the batch stage's DOM kernel both extract through this."""
+    try:
+        return extract_text_blocks(parse_html(src, drop_ws), config), 0
+    except Exception:
+        return [], 1
+
+
 @dataclass
 class ExtractStats:
     # ExtractSpansBatch calls: docs / batches is the rows per batch
@@ -126,10 +138,6 @@ class SpanExtractor:
         st.layout_native_declined += declined
         return out
 
-    def layout_json(self, ref: str) -> bytes:
-        """``layout_jsons([ref])[0]``."""
-        return self.layout_jsons([ref])[0]
-
     def extract_document(self, spans: list[dict]) -> list[dict]:
         """Ordered output span list for one document's input span list.
 
@@ -150,16 +158,12 @@ class SpanExtractor:
             elif kind == "html":
                 raw = (s.get("text") or "").encode("utf-8")
                 st.html_bytes += len(raw)
-                try:
-                    doc = parse_html(raw, self.drop_whitespace_text)
-                    blocks = extract_text_blocks(doc, self.config)
-                except Exception:
-                    st.parse_errors += 1
-                    blocks = []
+                blocks, errors = dom_blocks(raw, self.drop_whitespace_text, self.config)
+                st.parse_errors += errors
                 out.extend(("text", blk, "") for blk in blocks)
             elif kind == "media":
                 ref = s.get("media_ref") or ""
-                out.append(("media", self.layout_json(ref), ref))
+                out.append(("media", self.layout_jsons([ref])[0], ref))
         st.spans_out += len(out)
         return [
             {"kind": k, "text": t.decode("utf-8", "replace"), "media_ref": m, "offset": i}

@@ -15,12 +15,11 @@ the in-repo C source with the system compiler (cached under the per-user
 loading); ANY failure — no compiler, compile error, load error — yields
 None and extraction runs on the DOM oracle path (``parse_html`` +
 ``extract_text_blocks``) or the pure PDF parser, so the engine never depends
-on a toolchain. Set ``GRAFT_DISABLE_NATIVE=1`` to force the DOM path.
+on a toolchain.
 
-The HTML kernel uses the default ExtractConfig's tag tables and class/id
-markers and takes the two scalar thresholds as arguments; configs with other
-``drop_tags`` or class markers run on the DOM path. Byte-parity with the DOM
-oracle is pinned by tests/test_native_parity.py, tests/test_fused_parity.py,
+The HTML kernel compiles in ``extract/boilerplate.py``'s drop tables and
+class/id markers and takes ``ExtractConfig``'s two thresholds as arguments,
+so it runs every config. Byte-parity with the DOM oracle is pinned by tests/test_native_parity.py, tests/test_fused_parity.py,
 tests/test_tag_table_parity.py and tests/test_extraction_hypothesis.py, all
 through this one batch entry point; the PDF kernel's parity with the pure
 parser by tests/test_pdf_native_parity.py and
@@ -63,8 +62,6 @@ def _compile_and_load(
 ) -> "ctypes.CDLL | None":
     """Compile-on-first-use loader shared by the fused-extract and
     pdf-summary kernels (cache keying, ownership checks, flag fallbacks)."""
-    if os.environ.get("GRAFT_DISABLE_NATIVE"):
-        return None
     try:
         with open(src_path, "rb") as f:
             src = f.read()
@@ -264,12 +261,14 @@ def _make_pdf_wrapper(fn):
         blob = b"".join(payloads)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum([len(p) for p in payloads], out=offsets[1:])
-        # span text is mostly shorter than its payload; a flate stream that
-        # inflates past this takes the -2 retry below
-        need = len(blob) * 2 + 1024
+        # span text is about a quarter of its payload (at most 0.4 on the
+        # synthesized PDFs); a batch whose text inflates past this first
+        # guess takes the -2 retry below. The buffer is zero-filled, so its
+        # size is resident memory.
+        need = max(1 << 16, len(blob) // 2 + 1024)
         if getattr(local, "text_cap", 0) < need:
-            local.text_cap = max(1 << 16, need * 2)
-            local.text = ctypes.create_string_buffer(local.text_cap)
+            local.text_cap = need
+            local.text = ctypes.create_string_buffer(need)
         text_offs = np.empty(n + 1, dtype=np.int64)
         meta = np.empty((n, 4), dtype=np.int64)
         while fn(

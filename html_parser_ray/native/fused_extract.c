@@ -5,9 +5,9 @@
  * permissive HTML tokenization with the open-element name stack,
  * drop/block/link watermarks, per-owner segment collection, and the
  * entity-decode + whitespace-normalize emission tail. The tag tables and the
- * class/id boilerplate markers are the default ExtractConfig's; the two
- * scalar thresholds (max_link_density, min_text_len) are arguments. Configs
- * with other drop_tags or class markers run on the DOM path instead.
+ * class/id boilerplate markers are boilerplate.py's module constants; the
+ * two scalar thresholds (max_link_density, min_text_len), all of
+ * ExtractConfig, are arguments.
  *
  * ABI (ctypes), one entry point for a batch of documents:
  *   int64_t hpr_extract_blocks_batch(const uint8_t* values,

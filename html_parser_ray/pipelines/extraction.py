@@ -145,18 +145,3 @@ def build_extraction_pipeline(
         concurrency=concurrency,
     )
 
-
-def run_extraction(
-    input_path: str,
-    output_path: str | None = None,
-    file_format: str = "parquet",
-    **pipeline_kwargs,
-):
-    """Read -> extract -> (optionally) write partitioned parquet; returns the
-    lazy Dataset when no output path is given."""
-    ds = read_corpus(input_path, file_format=file_format)
-    out = build_extraction_pipeline(ds, **pipeline_kwargs)
-    if output_path is not None:
-        out.write_parquet(output_path)
-        return None
-    return out

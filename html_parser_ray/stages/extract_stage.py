@@ -21,17 +21,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from html_parser_ray.extract.boilerplate import ExtractConfig, extract_text_blocks
-from html_parser_ray.extract.extractor import SpanExtractor
-from html_parser_ray.html.document import parse_html
+from html_parser_ray.extract.boilerplate import ExtractConfig
+from html_parser_ray.extract.extractor import SpanExtractor, dom_blocks
 from html_parser_ray.sources.corpus import SPAN_STRUCT
 
-OUT_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.string()),
-        ("spans_out", pa.list_(SPAN_STRUCT)),
-    ]
-)
+SPANS_TYPE = pa.list_(SPAN_STRUCT)
 
 METRICS_STRUCT = pa.struct(
     [
@@ -46,10 +40,26 @@ METRICS_STRUCT = pa.struct(
 INT32_OFFSET_MAX = (1 << 31) - 1
 
 
+def _text_bytes(spans: "pa.Array | pa.ChunkedArray") -> int:
+    """Bytes of the span texts of a ``spans`` column, over its chunks and
+    whatever its string encoding."""
+    total = 0
+    for chunk in getattr(spans, "chunks", [spans]):
+        text = chunk.flatten().field("text")
+        if pa.types.is_dictionary(text.type):
+            lens = pc.take(pc.binary_length(text.dictionary), text.indices)
+        else:
+            lens = pc.binary_length(text)
+        total += pc.sum(lens).as_py() or 0
+    return total
+
+
 class ExtractSpansBatch:
-    """Actor-pool extraction stage: ``doc_id`` and ``spans`` in; ``doc_id``,
-    ``spans_out``, then every other input column (unchanged, in input
-    order) out, plus ``metrics`` when ``emit_metrics`` is set.
+    """Actor-pool extraction stage: ``doc_id`` and ``spans`` in (``spans``
+    in any Arrow encoding of its type: large strings and lists, dictionary
+    fields); ``doc_id``, ``spans_out``, then every other input column
+    (unchanged, in input order) out, plus ``metrics`` when ``emit_metrics``
+    is set.
 
     Parameters are plain values (passed via ``fn_constructor_kwargs``) so the
     actor constructs its own state — nothing heavy is captured in the closure.
@@ -85,9 +95,10 @@ class ExtractSpansBatch:
     def _dom_blocks(self, values_addr, offsets, total_bytes, drop_ws, *_thresholds):
         """DOM-oracle twin of the native batch kernel: same call, same
         ``(buffer, block_lens, doc_nblocks)`` result, under the extractor's
-        config (which holds the thresholds). A doc the parser raises on has
-        no blocks; its count lands in ``self._dom_errors`` (one entry per
-        doc of this call)."""
+        config (which holds the thresholds), each doc through the oracle's
+        own ``dom_blocks``. A doc the parser raises on has no blocks; its
+        count lands in ``self._dom_errors`` (one entry per doc of this
+        call)."""
         cfg = self.extractor.config
         n_docs = len(offsets) - 1
         blocks: "list[bytes]" = []
@@ -96,11 +107,7 @@ class ExtractSpansBatch:
         for d in range(n_docs):
             lo = int(offsets[d])
             src = ctypes.string_at(values_addr + lo, int(offsets[d + 1]) - lo)
-            try:
-                got = extract_text_blocks(parse_html(src, drop_ws), cfg)
-            except Exception:
-                errors[d] = 1
-                got = []
+            got, errors[d] = dom_blocks(src, drop_ws, cfg)
             blocks.extend(got)
             nblocks[d] = len(got)
         self._dom_errors = errors
@@ -114,11 +121,12 @@ class ExtractSpansBatch:
 
     def _extract(self, batch: pa.Table) -> pa.Table:
         """The emit, halving the batch by rows while its spans or output
-        overflow Arrow's int32 offsets (each split counted in
-        ``native_fallbacks``). Any other error escapes."""
+        overflow Arrow's int32 offsets, which ``_emit``'s size guards report
+        as OverflowError (each split counted in ``native_fallbacks``). Any
+        other error escapes."""
         try:
             return self._emit(batch)
-        except (pa.ArrowCapacityError, pa.ArrowInvalid, OverflowError) as e:
+        except OverflowError as e:
             if batch.num_rows < 2:
                 raise OverflowError(
                     f"doc {batch.column('doc_id').to_pylist()}: its spans "
@@ -138,9 +146,16 @@ class ExtractSpansBatch:
         ``media_ref`` follow from the same index. The html spans go through
         ONE kernel call over the Arrow values buffer (the DOM oracle if the
         native kernel declines, counted in ``native_fallbacks``). Raises
-        OverflowError when the pool or the output does not fit int32
-        offsets."""
+        OverflowError when the input's span texts, the pool or the output
+        do not fit int32 offsets."""
         spans_col = batch.column("spans")
+        nbytes = _text_bytes(spans_col)
+        if nbytes > INT32_OFFSET_MAX:
+            raise OverflowError(f"{nbytes} bytes of span text in one batch")
+        # other encodings (large_string, dictionary, large_list) as the
+        # plain spans type, so every string array below is one type
+        if spans_col.type != SPANS_TYPE:
+            spans_col = spans_col.cast(SPANS_TYPE)
         if isinstance(spans_col, pa.ChunkedArray):
             spans_col = spans_col.combine_chunks()
         # flatten() skips the values behind NULL rows, so the row bounds

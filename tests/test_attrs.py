@@ -99,3 +99,33 @@ def test_whitespace_after_eq():
     assert doc.get_attr(node, b"a") == b"v1"
     # 'b' followed by space is boolean; '=c' then parses as garbage + 'c' attr
     assert doc.get_attr(node, b"b") == b""
+
+
+def test_get_attr_value_agrees_with_collected_attrs():
+    """The single-attribute lookup ``get_attr_value`` (attr_inline.zig
+    getAttrValue) answers, for every name, what the all-attributes pass
+    ``collect_attrs`` holds for it, over the quirk fixtures above: entity
+    decoding, boolean and empty values, first-wins duplicates, ASCII
+    case-insensitive names, the naked value stopping at '/' and an
+    unterminated quote."""
+    from html_parser_ray.html.attrs import collect_attrs, get_attr_value
+
+    sources = [
+        "<a id='x' class='btn primary' href='https://example.com' data-k='v'></a>",
+        "<div id='x' b a=   ></div>",
+        "<div id='x' q='&amp;z' n=a&amp;b data-v='a&amp;b'></div>",
+        "<div id='x' k='1' k='2'></div>",
+        "<div ID='x' DATA-K='v'></div>",
+        "<a id='x' href=http://e.com data-later='y'></a>",
+        "<div id='x' a='unterminated>ok</div>",
+    ]
+    for html in sources:
+        doc = parse_html(html)
+        node = doc.query_one("#x")
+        start, end = doc.name_end[node], doc.attr_end[node]
+        attrs = collect_attrs(doc.source, start, end)
+        names = set(attrs) | {b"missing", b"data-later"}
+        for name in names:
+            for asked in (name, name.upper()):
+                got = get_attr_value(doc.source, start, end, asked)
+                assert got == attrs.get(name), (html, asked)

@@ -53,8 +53,8 @@ def test_single_core_extraction_floor():
     )
 
 
-# Native-kernel docs/s over the probe slice, one call per pass, on a quiet
-# 1-core host (median of 15 probes in 5 processes: 359k, pinned rounded
+# Native-kernel docs/s over the probe slice, one call per pass, in one
+# process on a quiet host (median of 15 probes in 5 processes: 359k, pinned rounded
 # down). The floor is 0.2x of it: the worst host-load probe ever observed
 # was 0.61x, so only a >=3x kernel regression (or extreme load) trips.
 _PINNED_CAL_REF = 350000.0

@@ -23,7 +23,7 @@ def unfused_extract(doc, cfg: ExtractConfig) -> list[bytes]:
     n = len(doc.kind)
     if n <= 1:
         return []
-    drop = compute_drop_mask(doc, cfg)
+    drop = compute_drop_mask(doc)
     link = _link_mask(doc)
     order, texts = [], {}
     for i in range(1, n):

@@ -315,17 +315,18 @@ def test_output_over_int32_offsets_halves_batch(monkeypatch):
 def test_dom_kernel_counts_parse_errors_per_doc(monkeypatch):
     """When the DOM oracle extracts a batch's html, a doc the parser raises
     on yields no blocks and one parse error, in the stats and in that row's
-    metrics."""
+    metrics, and the per-document oracle (the same ``dom_blocks``) agrees."""
+    import html_parser_ray.extract.extractor as extractor_mod
     import html_parser_ray.stages.extract_stage as stage_mod
 
-    real_parse = stage_mod.parse_html
+    real_parse = extractor_mod.parse_html
 
     def parse(src, *a):
         if src == b"<boom>":
             raise ValueError("synthetic parser failure")
         return real_parse(src, *a)
 
-    monkeypatch.setattr(stage_mod, "parse_html", parse)
+    monkeypatch.setattr(extractor_mod, "parse_html", parse)
     table = _one_span_rows(["<p>x</p>", "<boom>", "<p>y</p>"], kind="html")
     stage = stage_mod.ExtractSpansBatch(emit_metrics=True)
     stage._html_kernel = stage._dom_blocks
@@ -333,6 +334,10 @@ def test_dom_kernel_counts_parse_errors_per_doc(monkeypatch):
     assert [[s["text"] for s in r["spans_out"]] for r in out] == [["x"], [], ["y"]]
     assert [r["metrics"]["parse_errors"] for r in out] == [0, 1, 0]
     assert stage.extractor.stats.parse_errors == 1
+    oracle = SpanExtractor(layout_memo=False)
+    want = [oracle.extract_document(spans) for spans in table.column("spans").to_pylist()]
+    assert [r["spans_out"] for r in out] == want
+    assert oracle.stats.parse_errors == 1
 
 
 def _media_rows(refs_per_doc) -> "pa.Table":

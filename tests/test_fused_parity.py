@@ -2,10 +2,9 @@
 
 The DOM path (parse_html -> extract_text_blocks) is the oracle; the native
 kernel, called through its one batch entry point (``tests/_native_kernel.py``),
-is the hot-path twin for every config that differs from the default only in
-its scalar thresholds. Any divergence on any corpus family, edge-case
-fixture, or config variant is a bug in the kernel's state machine. Configs
-with other drop tags or class markers run on the DOM path.
+is the hot-path twin for every config (``ExtractConfig`` is its two scalar
+thresholds). Any divergence on any corpus family, edge-case fixture, or
+config variant is a bug in the kernel's state machine.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import pytest
 
 from _native_kernel import native_blocks
 from html_parser_ray.extract.boilerplate import ExtractConfig, extract_text_blocks
-from html_parser_ray.extract.extractor import SpanExtractor
 from html_parser_ray.html.document import parse_html
 from html_parser_ray.sources import corpus as corpus_mod
 
@@ -72,8 +70,6 @@ CONFIGS = [
     ExtractConfig(max_link_density=1.0),
     ExtractConfig(min_text_len=0),
     ExtractConfig(min_text_len=5),
-    ExtractConfig(drop_tags=frozenset(b"script style".split())),  # svg kept
-    ExtractConfig(drop_class_substrings=(), drop_class_tokens=()),
 ]
 
 
@@ -88,17 +84,7 @@ def _native_blocks(src: bytes, cfg, drop_ws=False):
 @pytest.mark.parametrize("case_idx", range(len(EDGE_CASES)))
 def test_edge_case_parity(case_idx):
     src = EDGE_CASES[case_idx]
-    spans = [{"kind": "html", "text": src.decode(), "media_ref": "", "offset": 0}]
     for cfg in CONFIGS:
-        scalars = ExtractConfig(
-            max_link_density=cfg.max_link_density, min_text_len=cfg.min_text_len
-        )
-        if cfg != scalars:
-            # a tag-table or class-marker config: the extractor runs the DOM path
-            ex = SpanExtractor(config=cfg)
-            got = [s["text"].encode() for s in ex.extract_document(spans)]
-            assert got == _dom_blocks(src, cfg), (case_idx, cfg)
-            continue
         assert _native_blocks(src, cfg) == _dom_blocks(src, cfg), (
             case_idx,
             cfg,

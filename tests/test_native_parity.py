@@ -122,11 +122,33 @@ def _span(kind, text="", media_ref="") -> dict:
     return {"kind": kind, "text": text, "media_ref": media_ref, "offset": 0}
 
 
+def _span_struct(**types) -> pa.StructType:
+    """``SPAN_STRUCT`` with the field types ``types`` replaced."""
+    return pa.struct([(f.name, types.get(f.name, f.type)) for f in SPAN_STRUCT])
+
+
+# other encodings of the spans column that readers produce (Lance writes
+# large strings and lists and may dictionary-encode a string field)
+SPAN_ENCODINGS = [
+    pa.list_(_span_struct(text=pa.large_string(), media_ref=pa.large_string())),
+    pa.list_(_span_struct(kind=pa.dictionary(pa.int32(), pa.string()))),
+    pa.large_list(SPAN_STRUCT),
+    pa.large_list(
+        _span_struct(
+            kind=pa.dictionary(pa.int8(), pa.string()),
+            text=pa.dictionary(pa.int32(), pa.large_string()),
+            media_ref=pa.large_string(),
+        )
+    ),
+]
+
+
 def _shape_batches() -> "list[pa.Table]":
     """Batch shapes the stage's span pool and pool index must handle:
     NULL and empty rows (one NULL row backed by a non-empty sub-list), NULL
     fields and unknown kinds, spans that emit nothing, single-kind batches
-    and repeated refs. Each table also carries an int32 column ``n`` (with
+    and repeated refs; then each of those again in every encoding of
+    ``SPAN_ENCODINGS``. Each table also carries an int32 column ``n`` (with
     a NULL) that the stage must pass through."""
     html = "<div><p>alpha  beta</p><p>gamma</p></div>"
     pdf, pdf2, img = "media://pdf/000001", "media://pdf/000002", "media://img/x"
@@ -162,6 +184,11 @@ def _shape_batches() -> "list[pa.Table]":
         pa.array([0, 1, 3, 4], pa.int32()), values, mask=pa.array([False, True, False])
     )
     tables.append(pa.table({"doc_id": ["a", "b", "c"], "spans": null_backed}))
+    tables += [
+        t.set_column(1, "spans", t.column("spans").cast(enc))
+        for t in list(tables)
+        for enc in SPAN_ENCODINGS
+    ]
     return [
         t.append_column(
             "n", pa.array([None, *range(7, 7 + t.num_rows - 1)], type=pa.int32())
@@ -229,7 +256,7 @@ def test_stage_passes_other_columns_through():
     def capacity(batch):
         # halving reaches one-row batches, which the real emit takes
         if batch.num_rows > 1:
-            raise pa.ArrowCapacityError("synthetic >2GB batch")
+            raise OverflowError("synthetic >2GB batch")
         return real(batch)
 
     for k, shape in enumerate(_shapes()):
@@ -304,22 +331,21 @@ def test_kernel_scratch_grows_for_a_block_dense_batch_after_a_text_batch():
 def test_batch_stage_counts_native_fallbacks():
     """The stage's two slower paths are chosen deliberately and counted in
     ``native_fallbacks``: a declined native call (DOM oracle for that batch)
-    and an Arrow capacity/overflow error (batch halved by rows). Any other
-    error escapes."""
+    and a size overflow (batch halved by rows). Any other error escapes."""
     table = _html_table(list(EDGE_CASES[:12]))
     normal_stage = ExtractSpansBatch()
     normal = normal_stage(table)
     assert normal_stage.extractor.stats.native_fallbacks == 0
     assert normal.column("spans_out").to_pylist() == _oracle_rows(table, ExtractConfig())
 
-    # capacity error on any batch with more than one html doc: halving
+    # size overflow on any batch with more than one html doc: halving
     # reaches one-doc batches, which the real kernel extracts
     stage = ExtractSpansBatch()
     real = stage._html_kernel
 
     def capacity(values_addr, offsets, *rest):
         if len(offsets) - 1 > 1:
-            raise pa.ArrowCapacityError("synthetic >2GB batch")
+            raise OverflowError("synthetic >2GB batch")
         return real(values_addr, offsets, *rest)
 
     stage._html_kernel = capacity
@@ -341,3 +367,31 @@ def test_batch_stage_counts_native_fallbacks():
     stage._html_kernel = unexpected
     with pytest.raises(RuntimeError):
         stage(table)
+
+
+def test_non_size_arrow_error_escapes_without_halving():
+    """Only the size guards' OverflowError halves a batch. Any other Arrow
+    error escapes with its own message, and no halving is counted: a
+    ``text`` field of binary spans holding invalid UTF-8 (rejected by the
+    cast to the spans type), and an ArrowInvalid raised by the kernel."""
+    bad = pa.table(
+        {
+            "doc_id": ["d0", "d1", "d2"],
+            "spans": pa.array(
+                [[_span("text", b"fine")], [_span("text", b"\xff\xfe bad")], []],
+                type=pa.list_(_span_struct(text=pa.binary())),
+            ),
+        }
+    )
+    stage = ExtractSpansBatch()
+    with pytest.raises(pa.ArrowInvalid, match="UTF8"):
+        stage(bad)
+    assert stage.extractor.stats.native_fallbacks == 0
+
+    def invalid(*args):
+        raise pa.ArrowInvalid("synthetic non-size error")
+
+    stage._html_kernel = invalid
+    with pytest.raises(pa.ArrowInvalid, match="synthetic non-size error"):
+        stage(_html_table(list(EDGE_CASES[:4])))
+    assert stage.extractor.stats.native_fallbacks == 0

@@ -18,7 +18,9 @@ import pytest
 from _native_kernel import native_blocks, needs_kernel
 from html_parser_ray.extract.boilerplate import (
     BLOCK_TAGS,
-    DEFAULT_DROP_TAGS,
+    DROP_CLASS_SUBSTRINGS,
+    DROP_CLASS_TOKENS,
+    DROP_TAGS,
     ExtractConfig,
     extract_text_blocks,
 )
@@ -32,7 +34,7 @@ ALL_TAGS = sorted(
     set(tags.TAG_FLAGS)
     | set(tags.IMPLICIT_CLOSERS)
     | BLOCK_TAGS
-    | DEFAULT_DROP_TAGS
+    | DROP_TAGS
     | {b"a", b"span", b"unknowntag", b"customelement"}
 )
 
@@ -62,3 +64,27 @@ def test_every_classified_tag_parity_drop_ws(tag):
     src = b"<div>\n  <%s>\n  x\n  </%s>\n</div>" % (tag, tag)
     dom = extract_text_blocks(parse_html(src, True), _CFG)
     assert native_blocks(src, True) == dom, tag
+
+
+MARKER_TEMPLATES = [
+    b"<div class='%s'><p>marked</p></div><p>kept</p>",
+    b"<div id='%s'>marked</div><p>kept</p>",
+    b"<p class='x-%s-y'>in a word</p><p>kept</p>",
+    b"<p class='lead %s tail'>a token</p><p>kept</p>",
+    b"<p CLASS='%s'>upper</p><p>kept</p>",
+]
+
+
+@pytest.mark.parametrize(
+    "marker", DROP_CLASS_SUBSTRINGS + DROP_CLASS_TOKENS, ids=lambda m: m.decode()
+)
+def test_every_class_marker_parity(marker):
+    """Each class/id marker of boilerplate.py's tables, as a whole value,
+    inside a longer word and as one token of several, drops the same
+    blocks in the DOM and in the kernel (which compiles its own copy of
+    the tables)."""
+    for tmpl in MARKER_TEMPLATES:
+        for m in (marker, marker.upper()):
+            src = tmpl % m
+            dom = extract_text_blocks(parse_html(src), _CFG)
+            assert native_blocks(src) == dom, (marker, tmpl, m)

@@ -19,13 +19,15 @@ self-matches — the bug class the r5 gemv divergence lived in. Still
 excluded: extract_corpus* and media_* (fixed seeded corpora, not
 sf-dependent).
 
-Full sweeps additionally run three seed-randomized ENGINE INVARIANTS over
+Full sweeps additionally run four seed-randomized ENGINE INVARIANTS over
 a per-seed random corpus (independent of the sf_dir tables):
 ``corpus_split_parity`` (``split_giant_docs=True`` == default call),
 ``checkpoint_resume_parity`` (crash-resume with a random lost-manifest
-subset == direct pipeline, value-exact), and ``metrics_mode_parity``
+subset == direct pipeline, value-exact), ``metrics_mode_parity``
 (stage output under ``emit_metrics=True`` == the DOM oracle per doc, plus
-metrics audited against input-derived ground truth).
+metrics audited against input-derived ground truth), and
+``span_encoding_parity`` (the corpus with its ``spans`` fields re-typed to
+large strings, dictionaries and large lists == the DOM oracle per doc).
 
 Usage:
     python tools/random_differential.py --seeds 0 1 2 3 --scale 0.4
@@ -296,6 +298,63 @@ def check_metrics_parity(seed: int) -> str | None:
             )
         if m["parse_errors"] != 0:
             return f"{r['doc_id']}: parse_errors {m['parse_errors']} != 0"
+    return None
+
+
+def check_encoding_parity(seed: int) -> str | None:
+    """Span-encoding ENGINE INVARIANT: the corpus with its ``spans`` column
+    re-typed as columnar readers deliver it (Lance writes large strings and
+    large lists and may dictionary-encode a string field) extracts, through
+    the Ray stage, to the DOM oracle's spans per doc, in every encoding.
+    Corpus size and batch size are drawn from the seed."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data
+
+    from html_parser_ray.extract.extractor import SpanExtractor
+    from html_parser_ray.pipelines.extraction import build_extraction_pipeline
+    from html_parser_ray.sources.corpus import SPAN_STRUCT, generate_documents
+
+    def span_struct(**types) -> pa.StructType:
+        return pa.struct([(f.name, types.get(f.name, f.type)) for f in SPAN_STRUCT])
+
+    large, dict32 = pa.large_string(), pa.dictionary(pa.int32(), pa.string())
+    encodings = {
+        "large_string": pa.list_(span_struct(text=large, media_ref=large)),
+        "dictionary": pa.list_(span_struct(kind=dict32, media_ref=dict32)),
+        "large_list+dictionary": pa.large_list(
+            span_struct(
+                kind=pa.dictionary(pa.int8(), pa.string()),
+                text=pa.dictionary(pa.int32(), large),
+                media_ref=large,
+            )
+        ),
+    }
+    rng = np.random.RandomState((seed ^ 0xE7C) % (2**31))
+    n = int(rng.randint(25, 60))
+    t = generate_documents(n, seed=seed)
+    bs = int(rng.choice([3, 8, 32]))
+    oracle = SpanExtractor(layout_memo=False)
+    oracle.layout._native = None
+    expected = {
+        row["doc_id"]: oracle.extract_document(row["spans"]) for row in t.to_pylist()
+    }
+    for name, enc in encodings.items():
+        retyped = t.set_column(
+            t.schema.get_field_index("spans"), "spans", t.column("spans").cast(enc)
+        )
+        rows = build_extraction_pipeline(
+            ray.data.from_arrow(retyped), batch_size=bs
+        ).take_all()
+        got = {r["doc_id"]: [dict(s) for s in r["spans_out"]] for r in rows}
+        if set(got) != set(expected) or len(rows) != n:
+            return f"{name}: doc set mismatch: {len(expected)} input vs {len(rows)} out"
+        for k in sorted(expected):
+            if got[k] != expected[k]:
+                return (
+                    f"{name}: spans_out diverge from the DOM oracle for {k} "
+                    f"(n={n}, batch_size={bs})"
+                )
     return None
 
 
@@ -574,6 +633,7 @@ def main() -> None:
                 ("corpus_split_parity", check_split_parity),
                 ("checkpoint_resume_parity", check_resume_parity),
                 ("metrics_mode_parity", check_metrics_parity),
+                ("span_encoding_parity", check_encoding_parity),
             ):
                 total += 1
                 try:
@@ -598,7 +658,7 @@ def main() -> None:
         for seed, name, msg in failures:
             print(f"  seed={seed} {name}: {msg.splitlines()[0]}")
         sys.exit(1)
-    extra = 3 if args.queries is None else 0
+    extra = 4 if args.queries is None else 0
     print(f"\nALL GREEN: {len(names) + extra} checks x {len(seeds)} seeds")
 
 
