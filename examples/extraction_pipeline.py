@@ -1,6 +1,6 @@
 """Flagship pipeline example: interleaved corpus -> ordered span table.
 
-Dataset-level composition end to end (read -> actor-pool extract -> write),
+Dataset-level composition end to end (read -> extract tasks -> write),
 including a corpus with giant documents. Run:
 
     python examples/extraction_pipeline.py
@@ -24,7 +24,7 @@ def run(smoke: bool = False) -> None:
     n = 40 if smoke else 500
     ds = ray.data.from_arrow(generate_documents(n, seed=42))
 
-    # default path: one streaming actor-pool transform, zero shuffles
+    # default path: one streaming task transform, zero shuffles
     out = build_extraction_pipeline(ds, batch_size=16, concurrency=2)
     with tempfile.TemporaryDirectory() as d:
         out.write_parquet(d)

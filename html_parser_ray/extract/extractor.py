@@ -72,10 +72,11 @@ class ExtractStats:
 
 class SpanExtractor:
     """Stateful per-document extractor: the heuristic config, the layout
-    parser and its memo live for the actor's lifetime (ref analog: §2.5
-    actor state). HTML always goes through the DOM; the native kernel runs
-    only in the batch stage, which holds one of these for its config, stats
-    and layout memo.
+    parser and its memo live as long as the object. In the pipeline that is
+    one run in one worker process: the extract stage that holds it is built
+    once per process per run (ref analog: §2.5 stateful stage). HTML always
+    goes through the DOM; the native kernel runs only in the batch stage,
+    which holds one of these for its config, stats and layout memo.
 
     ``use_fused`` does nothing: it is accepted only because the benchmark's
     oracle (``perfbench/checks.py``) still passes it."""

@@ -47,14 +47,15 @@ def _text_summary(joined: bytes) -> "tuple[str, int]":
 
 
 class LayoutParser:
-    """Load-once layout parser state (classic actor-pool ``__init__`` state).
+    """Load-once layout parser state.
 
     ``model_name`` stands in for a model checkpoint path; construction is the
-    expensive step a map_batches actor performs once. A pure decoder: every
-    ``parse`` or ``layout_jsons`` decodes (``SpanExtractor.layout_jsons`` owns
-    the memo). PDF refs are always decoded; every other ref gets keyed-hash
-    metadata. ``layout_jsons`` is the production path (the native kernel
-    where it accepts); ``parse`` is the pure parser and the oracle.
+    expensive step the extract stage performs once per worker process per
+    run. A pure decoder: every ``parse`` or ``layout_jsons`` decodes
+    (``SpanExtractor.layout_jsons`` owns the memo). PDF refs are always
+    decoded; every other ref gets keyed-hash metadata. ``layout_jsons`` is
+    the production path (the native kernel where it accepts); ``parse`` is
+    the pure parser and the oracle.
     """
 
     def __init__(self, model_name: str = "layout-stub-v0") -> None:

@@ -3,10 +3,14 @@
 Dataset-level composition (no raw Ray tasks anywhere):
 
     read (parquet/lance)                      # streaming blocks
-      -> map_batches(ExtractSpansBatch, ...)   # actor pool, zero-copy Arrow
+      -> map_batches(extract_batch, ...)       # tasks, zero-copy Arrow
       -> write_parquet / caller consumption
 
-One streaming actor-pool transform with zero shuffles, for every corpus.
+One streaming task transform with zero shuffles, for every corpus, which
+Ray Data may fuse with the maps next to it. The stage's load-once state
+(kernels, config, the cross-batch layout memo) lives per worker process and
+per run: each ``build_extraction_pipeline`` call draws a run token, and a
+process keeps the one ``ExtractSpansBatch`` of the last run it served.
 Giant documents take the same path: extraction is per span, so a multi-MB
 document is one long row in its batch, not a reason for an exchange.
 """
@@ -14,7 +18,9 @@ document is one long row in its batch, not a reason for an exchange.
 from __future__ import annotations
 
 from typing import Any, Sequence
+from uuid import uuid4
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
@@ -25,11 +31,6 @@ from html_parser_ray.stages.extract_stage import ExtractSpansBatch
 # names on this module.
 from html_parser_ray.stages.extract_stage import ExtractFragmentsBatch  # noqa: F401
 from html_parser_ray.stages.split import reassemble_group, split_batch  # noqa: F401
-
-
-# most extract actors the default pool starts: past about this many, the
-# upstream read tasks starve for CPUs and the stage waits on its input
-MAX_EXTRACT_ACTORS = 24
 
 
 # Default rows per extract batch: about TARGET_BATCH_BYTES of uncompressed
@@ -77,22 +78,23 @@ def default_batch_size(paths: Sequence[str]) -> int:
     return max(MIN_BATCH_ROWS, min(MAX_BATCH_ROWS, TARGET_BATCH_BYTES // per_row))
 
 
-def _default_concurrency() -> int:
-    """Actor-pool size for the CPU-bound extract stage: total CPUs minus a
-    reserve for the read/write stages, at least 2 and at most
-    ``MAX_EXTRACT_ACTORS``, and always leaving one CPU free (so one actor on
-    1 or 2 CPUs). Sizing the pool to ALL CPUs starves the upstream read
-    tasks (actors hold their CPU for life) and can stall the whole pipeline
-    — measured 10x wall-time degradation in local tests. With no CPU count
-    (Ray not initialised yet) the pool is 2."""
-    import ray
+# this process's extract stage and the run token it was built for
+_stage: "tuple[str, ExtractSpansBatch] | None" = None
 
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
-    except Exception:
-        cpus = 0
-    n = max(2, min(cpus - 2, MAX_EXTRACT_ACTORS))
-    return min(n, max(1, cpus - 1)) if cpus else n
+
+def extract_batch(batch: pa.Table, run: str, stage_cls: type, kwargs: dict) -> pa.Table:
+    """The extract task: ``batch`` through this process's
+    ``stage_cls(**kwargs)`` for the run ``run``. The stage is built on the
+    run's first batch in this process and reused for the rest, so its
+    kernels load once per process and its layout memo spans the run's
+    batches here. A batch of another run replaces it (the old stage is
+    dropped first), so no run reads another's memo and a process holds at
+    most one stage."""
+    global _stage
+    if _stage is None or _stage[0] != run:
+        _stage = None
+        _stage = (run, stage_cls(**kwargs))
+    return _stage[1](batch)
 
 
 def read_corpus(path: str, file_format: str = "parquet", **kwargs) -> "ray.data.Dataset":
@@ -112,13 +114,17 @@ def build_extraction_pipeline(
     ds: "ray.data.Dataset",
     *,
     split_giant_docs: bool = False,
-    concurrency: int | tuple[int, int] | None = None,
+    concurrency: int | None = None,
     batch_size: int | None = None,
     emit_metrics: bool = False,
     extractor_kwargs: dict[str, Any] | None = None,
 ) -> "ray.data.Dataset":
     """Compose the extraction pipeline over an input Dataset: one lazy,
-    streaming ``map_batches`` over the extract actor pool.
+    streaming ``map_batches`` of extract tasks, at most ``concurrency`` at a
+    time (``None``: as many as Ray's CPUs allow). The stage class is read
+    from this module when the pipeline is built, and the call draws a fresh
+    run token, so each worker process builds one stage for this pipeline
+    and none from an earlier call is reused.
 
     ``batch_size`` is rows per extract batch. By default it comes from
     ``default_batch_size`` over ``ds.input_files()``, which reads no data
@@ -132,14 +138,12 @@ def build_extraction_pipeline(
     """
     kwargs = dict(extractor_kwargs or {})
     kwargs["emit_metrics"] = emit_metrics
-    if concurrency is None:
-        concurrency = _default_concurrency()
     if batch_size is None:
         batch_size = default_batch_size(ds.input_files())
 
     return ds.map_batches(
-        ExtractSpansBatch,
-        fn_constructor_kwargs=kwargs,
+        extract_batch,
+        fn_kwargs={"run": uuid4().hex, "stage_cls": ExtractSpansBatch, "kwargs": kwargs},
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,

@@ -1,16 +1,17 @@
 """Ray Data stages for span extraction.
 
-``ExtractSpansBatch`` is a callable CLASS for
-``ds.map_batches(ExtractSpansBatch, batch_format="pyarrow", concurrency=N)``:
-expensive setup (HTML kernel, heuristic tables, layout model) happens once
-per actor in ``__init__``; ``__call__`` processes one Arrow batch in one
-emit, and every input column other than ``spans`` passes through to the
-output unchanged. The HTML spans of a batch go through ONE kernel call over
-the Arrow values buffer. The emit then gathers by span, not by byte: the
-kernel's blocks, the Arrow-normalized text spans and one layout JSON per
-unique media ref form one binary span pool, every output span is one int64
-index into it, and one ``pc.take`` builds the output text (the same index
-gives ``kind`` and ``media_ref``).
+``ExtractSpansBatch`` is the extract stage: ``__init__`` does the expensive
+setup (HTML kernel, heuristic tables, layout model), and the pipeline's
+extract tasks (``pipelines/extraction.py:extract_batch``) build one per
+worker process per run and reuse it for that run's batches there.
+``__call__`` processes one Arrow batch in one emit, and every input column
+other than ``spans`` passes through to the output unchanged. The HTML
+spans of a batch go through ONE kernel call over the Arrow values buffer.
+The emit then gathers by span, not by byte: the kernel's blocks, the
+Arrow-normalized text spans and one layout JSON per unique media ref form
+one binary span pool, every output span is one int64 index into it, and
+one ``pc.take`` builds the output text (the same index gives ``kind`` and
+``media_ref``).
 """
 
 from __future__ import annotations
@@ -55,14 +56,15 @@ def _text_bytes(spans: "pa.Array | pa.ChunkedArray") -> int:
 
 
 class ExtractSpansBatch:
-    """Actor-pool extraction stage: ``doc_id`` and ``spans`` in (``spans``
+    """The extraction stage: ``doc_id`` and ``spans`` in (``spans``
     in any Arrow encoding of its type: large strings and lists, dictionary
     fields); ``doc_id``, ``spans_out``, then every other input column
     (unchanged, in input order) out, plus ``metrics`` when ``emit_metrics``
     is set.
 
-    Parameters are plain values (passed via ``fn_constructor_kwargs``) so the
-    actor constructs its own state — nothing heavy is captured in the closure.
+    Parameters are plain values (passed in the extract task's ``fn_kwargs``)
+    so each worker process constructs its own state, once per run — nothing
+    heavy is shipped with the task.
     """
 
     def __init__(

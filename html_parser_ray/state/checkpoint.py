@@ -17,15 +17,16 @@ A run is ONE streaming Ray Data execution over the files of every
 uncommitted partition: read (with each row's file path) -> tag each row with
 its partition -> extract -> a write map that writes each batch's rows of
 partition ``k`` under ``_part=k/`` and returns one small row per file
-written. The driver iterates those rows and commits partition ``k`` as soon
-as its written rows equal its expected rows. A crash loses only the
-uncommitted partitions, whose files a resumed run clears before it redoes
-them; a resumed run skips every committed partition.
+written. The three maps are tasks, so Ray Data fuses them into one task
+when the extract stage has no ``concurrency`` cap. The driver iterates
+those rows and commits partition ``k`` as soon as its written rows equal
+its expected rows. A crash loses only the uncommitted partitions, whose
+files a resumed run clears before it redoes them; a resumed run skips
+every committed partition.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import os
@@ -276,34 +277,27 @@ def run_resumable_extraction(
             batch_format="pyarrow",
             batch_size=None,
         )
-        try:
-            for row in ds.iter_rows():
-                p = row["part"]
-                acc = written[p]
-                acc[0] += row["rows"]
-                acc[1] += row["spans"]
-                acc[2].append(row["file"])
-                if acc[0] > expected[p]:
-                    # rows past the input's count: if this run committed
-                    # the partition, it now holds extra rows, so the commit
-                    # is withdrawn
-                    mdir = _manifest_dir(output_root)
-                    manifest = os.path.join(mdir, f"part-{p}.json")
-                    if os.path.exists(manifest):
-                        os.remove(manifest)
-                        _fsync_dir(mdir)
-                    raise RuntimeError(
-                        f"partition {p} received {acc[0]} rows but its input "
-                        f"files hold {expected[p]}; not committed"
-                    )
-                if acc[0] == expected[p]:
-                    commit(p)
-        finally:
-            # a finished actor pool stays in a reference cycle until GC and
-            # keeps holding its CPUs, so the caller's next Ray job would
-            # wait for them: drop the Dataset and collect now
-            del ds
-            gc.collect()
+        for row in ds.iter_rows():
+            p = row["part"]
+            acc = written[p]
+            acc[0] += row["rows"]
+            acc[1] += row["spans"]
+            acc[2].append(row["file"])
+            if acc[0] > expected[p]:
+                # rows past the input's count: if this run committed
+                # the partition, it now holds extra rows, so the commit
+                # is withdrawn
+                mdir = _manifest_dir(output_root)
+                manifest = os.path.join(mdir, f"part-{p}.json")
+                if os.path.exists(manifest):
+                    os.remove(manifest)
+                    _fsync_dir(mdir)
+                raise RuntimeError(
+                    f"partition {p} received {acc[0]} rows but its input "
+                    f"files hold {expected[p]}; not committed"
+                )
+            if acc[0] == expected[p]:
+                commit(p)
     short = [p for p in live if written[p][0] != expected[p]]
     if short:
         raise RuntimeError(

@@ -43,18 +43,126 @@ def test_read_corpus_rejects_unknown_format(tmp_path):
             read_corpus(str(tmp_path), file_format=fmt)
 
 
-@pytest.mark.parametrize("cpus, actors", [(1, 1), (2, 1), (3, 2), (4, 2), (32, 24)])
-def test_default_concurrency_leaves_a_cpu_for_reads(monkeypatch, cpus, actors):
-    """The default extract pool always leaves one CPU to the read tasks, so
-    1 or 2 CPUs get one actor, and stays within [2, MAX_EXTRACT_ACTORS]
-    otherwise."""
-    import ray
+def _media_table(n_docs: int, n_refs: int) -> pa.Table:
+    """``n_docs`` docs of an html, a text and two media spans; the media
+    refs cycle over ``n_refs`` distinct PDF refs, so refs repeat across
+    docs and batches."""
+    from html_parser_ray.sources.corpus import SPAN_STRUCT
 
-    from html_parser_ray.pipelines.extraction import _default_concurrency
+    docs = [
+        [
+            {"kind": "html", "text": f"<p>doc {d} lead</p>", "media_ref": "", "offset": 0},
+            {"kind": "text", "text": f"caption {d}", "media_ref": "", "offset": 1},
+        ]
+        + [
+            {
+                "kind": "media",
+                "text": "",
+                "media_ref": f"media://pdf/{(2 * d + k) % n_refs:06d}",
+                "offset": 2 + k,
+            }
+            for k in range(2)
+        ]
+        for d in range(n_docs)
+    ]
+    return pa.table(
+        {
+            "doc_id": [f"doc-{d:04d}" for d in range(n_docs)],
+            "spans": pa.array(docs, type=pa.list_(SPAN_STRUCT)),
+        }
+    )
 
-    monkeypatch.setattr(ray, "is_initialized", lambda: True)
-    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": float(cpus)})
-    assert _default_concurrency() == actors
+
+def _oracle_spans(table: pa.Table) -> dict:
+    oracle = SpanExtractor(layout_memo=False)
+    oracle.layout._native = None
+    return {
+        row["doc_id"]: oracle.extract_document(row["spans"])
+        for row in table.to_pylist()
+    }
+
+
+def test_stage_is_scoped_to_one_run_per_process(monkeypatch):
+    """No Ray: the extract task's stage is reused for batches of one run,
+    its layout memo hits accumulating, and a batch of another run gets a
+    fresh stage (empty memo, stats from zero) while the old one is
+    dropped."""
+    import gc
+    import weakref
+
+    from html_parser_ray.pipelines import extraction
+
+    monkeypatch.setattr(extraction, "_stage", None)
+
+    table = _media_table(8, 6)
+    want = _oracle_spans(table)
+    cls = extraction.ExtractSpansBatch
+
+    def run(token: str) -> dict:
+        out = extraction.extract_batch(table, run=token, stage_cls=cls, kwargs={})
+        return dict(zip(out.column("doc_id").to_pylist(), out.column("spans_out").to_pylist()))
+
+    assert run("run-a") == want
+    first = extraction._stage[1]
+    assert (first.extractor.stats.layout_decodes, first.extractor.stats.layout_hits) == (6, 0)
+    assert run("run-a") == want
+    assert extraction._stage == ("run-a", first)
+    # the memo is probed once per distinct ref of a batch: all 6 hit
+    assert (first.extractor.stats.layout_decodes, first.extractor.stats.layout_hits) == (6, 6)
+
+    old = weakref.ref(first)
+    del first
+    assert run("run-b") == want
+    fresh = extraction._stage[1]
+    reference = cls()
+    reference(table)
+    assert fresh.extractor.stats == reference.extractor.stats
+    assert fresh.extractor.stats.layout_hits == 0
+    gc.collect()
+    assert old() is None
+    assert extraction._stage[0] == "run-b"
+
+
+def _marked_stage_cls():
+    """A subclass of the extract stage that adds a ``batch_decodes``
+    column: the layout decodes of the batch on its first row, 0 on the
+    others, so the column's sum over a job is the job's decodes over every
+    process. Defined in a function, so Ray workers receive it by value."""
+    from html_parser_ray.stages.extract_stage import ExtractSpansBatch
+
+    class MarkedStage(ExtractSpansBatch):
+        def __call__(self, batch: pa.Table) -> pa.Table:
+            before = self.extractor.stats.layout_decodes
+            out = super().__call__(batch)
+            decodes = [0] * out.num_rows
+            decodes[0] = self.extractor.stats.layout_decodes - before
+            return out.append_column("batch_decodes", pa.array(decodes, pa.int64()))
+
+    return MarkedStage
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_consecutive_runs_run_the_build_time_stage_and_decode_again(monkeypatch):
+    """Two pipelines over one media input, one after the other in one Ray
+    session. Each runs the stage class found on the pipeline module when it
+    is built (the benchmark's tracing swaps in a subclass there): every
+    output row carries the subclass's column. Each output equals the DOM
+    oracle, and each job decodes every distinct ref (decodes summed over
+    the processes its tasks ran in), because no layout memo passes from one
+    pipeline to the next."""
+    import ray.data
+
+    from html_parser_ray.pipelines import extraction
+
+    monkeypatch.setattr(extraction, "ExtractSpansBatch", _marked_stage_cls())
+    table = _media_table(24, 10)
+    want = _oracle_spans(table)
+    for _ in range(2):
+        ds = ray.data.from_arrow(table)
+        rows = extraction.build_extraction_pipeline(ds, batch_size=6, concurrency=1).take_all()
+        assert {r["doc_id"]: [dict(s) for s in r["spans_out"]] for r in rows} == want
+        assert all(r["batch_decodes"] is not None for r in rows)
+        assert sum(r["batch_decodes"] for r in rows) >= 10
 
 
 def test_split_and_reassemble_roundtrip_local():
