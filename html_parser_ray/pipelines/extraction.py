@@ -129,8 +129,7 @@ def build_extraction_pipeline(
     ``batch_size`` is rows per extract batch. By default it comes from
     ``default_batch_size`` over ``ds.input_files()``, which reads no data
     (and lists no files once ``ds`` has a transform, so a caller that maps
-    the input first sizes from its own paths, as
-    ``run_resumable_extraction`` does).
+    the input first passes its own ``batch_size``).
 
     ``split_giant_docs`` does not change the plan: giant documents extract
     in place, like any other. It is accepted only because the benchmark's

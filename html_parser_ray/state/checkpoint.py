@@ -14,15 +14,16 @@ the sum of its files' parquet footer counts, so no document is hashed to
 find its partition.
 
 A run is ONE streaming Ray Data execution over the files of every
-uncommitted partition: read (with each row's file path) -> tag each row with
-its partition -> extract -> a write map that writes each batch's rows of
-partition ``k`` under ``_part=k/`` and returns one small row per file
-written. The three maps are tasks, so Ray Data fuses them into one task
-when the extract stage has no ``concurrency`` cap. The driver iterates
-those rows and commits partition ``k`` as soon as its written rows equal
-its expected rows. A crash loses only the uncommitted partitions, whose
-files a resumed run clears before it redoes them; a resumed run skips
-every committed partition.
+uncommitted partition: read (with each row's file path) -> extract (which
+passes the path through) -> a write map that finds each row's partition
+from its path, writes each batch's rows of partition ``k`` under
+``_part=k/`` and returns one small row per file written. Both maps are
+tasks with the run's ``concurrency``, so Ray Data fuses them into one
+extract->write task at any cap; the read is its own operator. The driver
+iterates those rows and commits partition ``k`` as soon as its written
+rows equal its expected rows. A crash loses only the uncommitted
+partitions, whose files a resumed run clears before it redoes them; a
+resumed run skips every committed partition.
 """
 
 from __future__ import annotations
@@ -116,26 +117,22 @@ def _commit_manifest(output_root: str, part: int, record: dict) -> None:
     _fsync_dir(mdir)
 
 
-def tag_partitions(batch: pa.Table, paths: "list[str]", parts: "list[int]") -> pa.Table:
-    """Replace the read's ``path`` column (file ``paths[i]`` belongs to
-    partition ``parts[i]``) by an int32 ``_part`` column."""
-    idx = pc.index_in(batch.column("path"), value_set=pa.array(paths))
-    part = pc.take(pa.array(parts, type=pa.int32()), idx)
-    return batch.drop_columns(["path"]).append_column("_part", part)
-
-
-def write_partitions(batch: pa.Table, output_root: str) -> pa.Table:
+def write_partitions(
+    batch: pa.Table, output_root: str, paths: "list[str]", parts: "list[int]"
+) -> pa.Table:
     """Write an extracted batch's rows of each partition ``k`` to
-    ``_part=k/<name>.parquet`` (without ``_part``) and return one
-    ``WRITTEN_SCHEMA`` row per file. The name is a digest of the file's
-    first and last doc id and its row count, so a re-executed write of the
-    same rows overwrites its own file; the rename makes a file appear
-    whole or not at all."""
-    parts = batch.column("_part")
-    data = batch.drop_columns(["_part"])
+    ``_part=k/<name>.parquet`` and return one ``WRITTEN_SCHEMA`` row per
+    file. A row's partition comes from the read's ``path`` column (file
+    ``paths[i]`` belongs to partition ``parts[i]``), which is not written.
+    The name is a digest of the file's first and last doc id and its row
+    count, so a re-executed write of the same rows overwrites its own file;
+    the rename makes a file appear whole or not at all."""
+    idx = pc.index_in(batch.column("path"), value_set=pa.array(paths))
+    row_parts = pc.take(pa.array(parts, type=pa.int32()), idx)
+    data = batch.drop_columns(["path"])
     out: "dict[str, list]" = {name: [] for name in WRITTEN_SCHEMA.names}
-    for k in pc.unique(parts).to_pylist():
-        rows = data.filter(pc.equal(parts, k))
+    for k in pc.unique(row_parts).to_pylist():
+        rows = data.filter(pc.equal(row_parts, k))
         ids = rows.column("doc_id")
         key = f"{ids[0].as_py()}\0{ids[-1].as_py()}\0{rows.num_rows}"
         name = hashlib.md5(key.encode("utf-8")).hexdigest() + ".parquet"
@@ -189,9 +186,11 @@ def run_resumable_extraction(
     under ``output_root``. ``wave_size`` does not change the plan: every
     uncommitted partition runs in one execution. It is accepted only
     because the benchmark's ``giant_resumable`` job (``perfbench/job.py``)
-    still passes it. Without a ``batch_size`` in ``pipeline_kwargs``, rows
-    per extract batch come from ``default_batch_size`` over the footers of
-    the files this run extracts.
+    still passes it. ``pipeline_kwargs`` go to ``build_extraction_pipeline``
+    over the read of the files this run extracts, so without a
+    ``batch_size`` the rows per extract batch are sized from those files'
+    footers. The write map takes the same ``concurrency`` as the extract
+    map, so the two run as one fused task whatever the cap.
 
     Each manifest records its partition's input files with their row counts,
     ``row_count`` and ``span_count`` as written, and ``wave_wall_s``: the
@@ -263,19 +262,16 @@ def run_resumable_extraction(
             for f in plan[p]
         ]
         parts = [p for p in live for _ in plan[p]]
-        # the tag map below hides the files from the pipeline's own sizing
-        if pipeline_kwargs.get("batch_size") is None:
-            pipeline_kwargs["batch_size"] = extraction.default_batch_size(paths)
-        ds = extraction.read_corpus(paths, include_paths=True).map_batches(
-            tag_partitions,
-            fn_kwargs={"paths": paths, "parts": parts},
-            batch_format="pyarrow",
-        )
-        ds = extraction.build_extraction_pipeline(ds, **pipeline_kwargs).map_batches(
+        # Ray Data fuses task maps only at equal concurrency, so the write
+        # takes the extract stage's cap to run in the extract's task
+        ds = extraction.build_extraction_pipeline(
+            extraction.read_corpus(paths, include_paths=True), **pipeline_kwargs
+        ).map_batches(
             write_partitions,
-            fn_kwargs={"output_root": output_root},
+            fn_kwargs={"output_root": output_root, "paths": paths, "parts": parts},
             batch_format="pyarrow",
             batch_size=None,
+            concurrency=pipeline_kwargs.get("concurrency"),
         )
         for row in ds.iter_rows():
             p = row["part"]

@@ -236,8 +236,8 @@ def test_partition_receiving_a_batch_twice_raises_uncommitted(tmp_path, monkeypa
 
     real = checkpoint.write_partitions
 
-    def write_twice(batch, output_root):
-        return pa.concat_tables([real(batch, output_root), real(batch, output_root)])
+    def write_twice(batch, **kwargs):
+        return pa.concat_tables([real(batch, **kwargs), real(batch, **kwargs)])
 
     monkeypatch.setattr(checkpoint, "write_partitions", write_twice)
     inp = str(tmp_path / "corpus")
@@ -246,6 +246,96 @@ def test_partition_receiving_a_batch_twice_raises_uncommitted(tmp_path, monkeypa
     with pytest.raises(RuntimeError, match="rows but its input files hold"):
         run_resumable_extraction(inp, out, num_partitions=2, batch_size=8)
     assert completed_partitions(out) == set()
+
+
+def _task_marking_stage_cls():
+    """A subclass of the extract stage that adds an ``extract_task`` column:
+    the id of the Ray task the batch was extracted in. Defined in a
+    function, so Ray workers receive it by value."""
+    import pyarrow as pa
+    import ray
+
+    from html_parser_ray.stages.extract_stage import ExtractSpansBatch
+
+    class TaskMarkingStage(ExtractSpansBatch):
+        def __call__(self, batch: pa.Table) -> pa.Table:
+            out = super().__call__(batch)
+            task = ray.get_runtime_context().get_task_id()
+            return out.append_column("extract_task", pa.array([task] * out.num_rows))
+
+    return TaskMarkingStage
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("concurrency", [None, 1, 2])
+def test_every_batch_is_written_in_its_extract_task(tmp_path, monkeypatch, concurrency):
+    """Extract and write are one fused task at every ``concurrency``: the
+    write of each batch runs in the Ray task that extracted it, so no batch
+    crosses the object store between the two. A write in another task
+    raises, and the run fails."""
+    import ray
+
+    from html_parser_ray.pipelines import extraction
+    from html_parser_ray.state import checkpoint
+
+    real = checkpoint.write_partitions
+
+    def write_in_extract_task(batch, **kwargs):
+        task = ray.get_runtime_context().get_task_id()
+        extracted_in = set(batch.column("extract_task").to_pylist())
+        if extracted_in != {task}:
+            raise RuntimeError(f"written in task {task}, extracted in {extracted_in}")
+        return real(batch.drop_columns(["extract_task"]), **kwargs)
+
+    monkeypatch.setattr(extraction, "ExtractSpansBatch", _task_marking_stage_cls())
+    monkeypatch.setattr(checkpoint, "write_partitions", write_in_extract_task)
+    inp = str(tmp_path / "corpus")
+    out = str(tmp_path / "out")
+    write_corpus_parquet(inp, 40, seed=42, rows_per_file=10)
+    res = run_resumable_extraction(
+        inp, out, num_partitions=2, batch_size=8, concurrency=concurrency
+    )
+    assert res == {"partitions_done": 2, "partitions_skipped": 0, "rows": 40}
+    ids = sorted(r["doc_id"] for r in read_extraction_output(out).take_all())
+    assert ids == [f"doc-{i:08d}" for i in range(40)]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_concurrent_fused_writes_commit_exactly_once(tmp_path):
+    """``concurrency=2``: two fused extract->write tasks land files at the
+    same time, over 6 input files and 2 partitions. Each manifest's
+    ``row_count`` equals its input files' footers and the footers of the
+    files in its partition directory, every doc is written once, and the
+    output equals the DOM oracle's."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from html_parser_ray.extract.extractor import SpanExtractor
+
+    inp = str(tmp_path / "corpus")
+    out = str(tmp_path / "out")
+    write_corpus_parquet(inp, 60, seed=11, rows_per_file=10)
+    res = run_resumable_extraction(inp, out, num_partitions=2, batch_size=4, concurrency=2)
+    assert res == {"partitions_done": 2, "partitions_skipped": 0, "rows": 60}
+
+    recs = manifest_records(out)
+    assert [len(r["input_files"]) for r in recs] == [3, 3]
+    for rec in recs:
+        files = glob.glob(os.path.join(out, f"_part={rec['partition_id']}", "*.parquet"))
+        assert rec["row_count"] == sum(f["rows"] for f in rec["input_files"])
+        assert rec["row_count"] == sum(pq.read_metadata(f).num_rows for f in files)
+
+    back = read_extraction_output(out).take_all()
+    got = {r["doc_id"]: [dict(s) for s in r["spans_out"]] for r in back}
+    assert len(got) == len(back) == 60
+    oracle = SpanExtractor(layout_memo=False)
+    oracle.layout._native = None
+    source = pq.read_table(inp)
+    assert got == {
+        d: oracle.extract_document(s)
+        for d, s in zip(source.column("doc_id").to_pylist(), source.column("spans").to_pylist())
+    }
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -183,8 +183,9 @@ def check_resume_parity(seed: int) -> str | None:
     same output, span-for-span, as the direct (non-checkpointed) pipeline
     over the same corpus. The committed tests pin this at one shape and
     compare doc_ids only after a crash (tests/test_checkpoint.py); here the
-    corpus, file/partition geometry, and the crash set are all
-    seed-drawn, and the comparison is value-exact."""
+    corpus, file/partition geometry, the crash set and each run's extract
+    ``concurrency`` (None, 1 or 2: the fused extract->write task at every
+    cap) are all seed-drawn, and the comparison is value-exact."""
     import tempfile
 
     import numpy as np
@@ -209,6 +210,7 @@ def check_resume_parity(seed: int) -> str | None:
         run_resumable_extraction(
             inp, out, num_partitions=num_parts,
             wave_size=int(rng.choice([2, num_parts])), batch_size=16,
+            concurrency=[None, 1, 2][rng.randint(3)],
         )
         # crash: lose a random nonempty proper subset of the manifests
         lost = rng.choice(
@@ -219,6 +221,7 @@ def check_resume_parity(seed: int) -> str | None:
         res = run_resumable_extraction(
             inp, out, num_partitions=num_parts,
             wave_size=int(rng.choice([2, num_parts])), batch_size=16,
+            concurrency=[None, 1, 2][rng.randint(3)],
         )
         if res["partitions_done"] != len(lost):
             return (
