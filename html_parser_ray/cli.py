@@ -34,9 +34,8 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_extract = sub.add_parser("extract", help="run the extraction pipeline")
-    p_extract.add_argument("--input", required=True, help="corpus path (parquet/lance dir)")
+    p_extract.add_argument("--input", required=True, help="parquet corpus path")
     p_extract.add_argument("--output", required=True, help="output root")
-    p_extract.add_argument("--format", default="parquet", choices=["parquet", "lance"])
     p_extract.add_argument("--num-partitions", type=int, default=64)
     p_extract.add_argument(
         "--batch-size", type=int, default=None,
@@ -190,7 +189,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.input,
                 args.output,
                 num_partitions=args.num_partitions,
-                file_format=args.format,
                 batch_size=args.batch_size,
             )
             print(json.dumps(summary))

@@ -3,9 +3,10 @@
 Python analog of the reference's duck-typed hook structs
 (ref: src/debug/instrumentation.zig:6-188): any object exposing optional
 ``on_parse_start/on_parse_end/on_query_start/on_query_end`` callables receives
-stats records. In the Ray pipeline the same numbers surface per-batch via the
-extract stage's ``emit_metrics`` column; this module is the single-document
-API surface.
+stats records. This module is the single-document API surface. In the Ray
+pipeline the extract stage counts its work (docs, spans, html bytes, parse
+errors) in ``ExtractStats``, per worker process and run, and each committed
+partition's manifest carries its ``row_count`` and ``span_count``.
 """
 
 from __future__ import annotations

@@ -116,7 +116,6 @@ def build_extraction_pipeline(
     split_giant_docs: bool = False,
     concurrency: int | None = None,
     batch_size: int | None = None,
-    emit_metrics: bool = False,
     extractor_kwargs: dict[str, Any] | None = None,
 ) -> "ray.data.Dataset":
     """Compose the extraction pipeline over an input Dataset: one lazy,
@@ -136,7 +135,6 @@ def build_extraction_pipeline(
     ``giant_resumable`` job (``perfbench/job.py``) still passes it.
     """
     kwargs = dict(extractor_kwargs or {})
-    kwargs["emit_metrics"] = emit_metrics
     if batch_size is None:
         batch_size = default_batch_size(ds.input_files())
 

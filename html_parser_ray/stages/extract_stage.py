@@ -28,15 +28,6 @@ from html_parser_ray.sources.corpus import SPAN_STRUCT
 
 SPANS_TYPE = pa.list_(SPAN_STRUCT)
 
-METRICS_STRUCT = pa.struct(
-    [
-        ("spans_in", pa.int32()),
-        ("spans_out", pa.int32()),
-        ("html_bytes", pa.int64()),
-        ("parse_errors", pa.int32()),
-    ]
-)
-
 # largest byte offset an Arrow string/list array (int32 offsets) can hold
 INT32_OFFSET_MAX = (1 << 31) - 1
 
@@ -59,8 +50,8 @@ class ExtractSpansBatch:
     """The extraction stage: ``doc_id`` and ``spans`` in (``spans``
     in any Arrow encoding of its type: large strings and lists, dictionary
     fields); ``doc_id``, ``spans_out``, then every other input column
-    (unchanged, in input order) out, plus ``metrics`` when ``emit_metrics``
-    is set.
+    (unchanged, in input order) out. What it did is counted in
+    ``self.extractor.stats`` (``ExtractStats``).
 
     Parameters are plain values (passed in the extract task's ``fn_kwargs``)
     so each worker process constructs its own state, once per run — nothing
@@ -73,7 +64,6 @@ class ExtractSpansBatch:
         min_text_len: int = 1,
         layout_model: str = "layout-stub-v0",
         drop_whitespace_text: bool = False,
-        emit_metrics: bool = False,
     ) -> None:
         cfg = ExtractConfig(
             max_link_density=max_link_density, min_text_len=min_text_len
@@ -83,8 +73,6 @@ class ExtractSpansBatch:
             layout_model=layout_model,
             drop_whitespace_text=drop_whitespace_text,
         )
-        # emit_metrics only adds the per-row ``metrics`` column
-        self.emit_metrics = emit_metrics
         # the HTML-blocks kernel, chosen once: the native batch kernel (one C
         # call per batch over the Arrow values buffer, zero-copy in), else
         # the DOM oracle behind the same call. Parity pinned by
@@ -92,27 +80,28 @@ class ExtractSpansBatch:
         from html_parser_ray.native import get_native_batch_extractor
 
         self._html_kernel = get_native_batch_extractor() or self._dom_blocks
-        self._dom_errors: "np.ndarray | None" = None
+        # parse errors of the last html kernel call (only the DOM path has any)
+        self._call_errors = 0
 
     def _dom_blocks(self, values_addr, offsets, total_bytes, drop_ws, *_thresholds):
         """DOM-oracle twin of the native batch kernel: same call, same
         ``(buffer, block_lens, doc_nblocks)`` result, under the extractor's
         config (which holds the thresholds), each doc through the oracle's
-        own ``dom_blocks``. A doc the parser raises on has no blocks; its
-        count lands in ``self._dom_errors`` (one entry per doc of this
-        call)."""
+        own ``dom_blocks``. A doc the parser raises on has no blocks; the
+        call's error count lands in ``self._call_errors``."""
         cfg = self.extractor.config
         n_docs = len(offsets) - 1
         blocks: "list[bytes]" = []
         nblocks = np.zeros(n_docs, dtype=np.int64)
-        errors = np.zeros(n_docs, dtype=np.int64)
+        errors = 0
         for d in range(n_docs):
             lo = int(offsets[d])
             src = ctypes.string_at(values_addr + lo, int(offsets[d + 1]) - lo)
-            got, errors[d] = dom_blocks(src, drop_ws, cfg)
+            got, err = dom_blocks(src, drop_ws, cfg)
+            errors += err
             blocks.extend(got)
             nblocks[d] = len(got)
-        self._dom_errors = errors
+        self._call_errors = errors
         lens = np.fromiter(map(len, blocks), dtype=np.int64, count=len(blocks))
         return b"".join(blocks), lens, nblocks
 
@@ -184,7 +173,7 @@ class ExtractSpansBatch:
         blocks = b""
         block_lens = np.zeros(0, dtype=np.int64)
         html_offs = np.zeros(1, dtype=np.int64)
-        html_errors = np.zeros(0, dtype=np.int64)
+        html_errors = 0
         if len(html_idx):
             html_texts = text_arr.filter(is_html).cast(pa.binary())
             bufs, aoff = html_texts.buffers(), html_texts.offset
@@ -199,13 +188,13 @@ class ExtractSpansBatch:
                 cfg.max_link_density,
                 cfg.min_text_len,
             )
-            self._dom_errors = np.zeros(len(html_idx), dtype=np.int64)
+            self._call_errors = 0
             res = self._html_kernel(*args)
             if res is None:
                 self.extractor.stats.native_fallbacks += 1
                 res = self._dom_blocks(*args)
             blocks, block_lens, doc_nblocks = res
-            html_errors = self._dom_errors
+            html_errors = self._call_errors
             counts[html_idx] = doc_nblocks
             first[html_idx] = np.cumsum(doc_nblocks) - doc_nblocks
         nb = len(block_lens)
@@ -290,7 +279,7 @@ class ExtractSpansBatch:
         st.spans_in += flat_n
         st.spans_out += total_out
         st.html_bytes += int(html_offs[-1] - html_offs[0])
-        st.parse_errors += int(html_errors.sum())
+        st.parse_errors += html_errors
 
         struct_arr = pa.StructArray.from_arrays(
             [kind_out, text_out, media_out, pa.array(o_off.astype(np.int32))],
@@ -304,23 +293,6 @@ class ExtractSpansBatch:
         for name in batch.column_names:
             if name != "spans" and name not in cols:
                 cols[name] = batch.column(name)
-        if self.emit_metrics:
-            # html spans before each row bound
-            html_bounds = np.searchsorted(html_idx, row_bounds)
-
-            def per_row(per_html_span: np.ndarray) -> pa.Array:
-                c = np.concatenate([[0], np.cumsum(per_html_span)])
-                return pa.array(c[html_bounds[1:]] - c[html_bounds[:-1]])
-
-            cols["metrics"] = pa.StructArray.from_arrays(
-                [
-                    pa.array(np.diff(row_bounds).astype(np.int32)),
-                    pa.array(np.diff(out_offsets).astype(np.int32)),
-                    per_row(np.diff(html_offs)),
-                    per_row(html_errors).cast(pa.int32()),
-                ],
-                fields=list(METRICS_STRUCT),
-            )
         return pa.table(cols)
 
 

@@ -9,19 +9,12 @@ import os
 import pytest
 
 from html_parser_ray.sources.corpus import write_corpus_parquet
-from html_parser_ray.stages.metrics import partition_of
 from html_parser_ray.state.checkpoint import (
     completed_partitions,
     manifest_records,
     read_extraction_output,
     run_resumable_extraction,
 )
-
-
-def test_partition_of_stable():
-    assert partition_of("doc-00000001", 16) == partition_of("doc-00000001", 16)
-    parts = {partition_of(f"doc-{i:08d}", 8) for i in range(100)}
-    assert parts == set(range(8))  # all partitions hit
 
 
 @pytest.mark.usefixtures("ray_session")

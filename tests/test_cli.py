@@ -38,6 +38,19 @@ def test_cli_generate_and_extract(tmp_path):
     assert os.path.isdir(os.path.join(out, "_manifest"))
 
 
+def test_cli_extract_rejects_format(tmp_path, capsys):
+    """``extract`` reads parquet only, so it has no ``--format``: argparse
+    refuses it (exit 2) while parsing, before the command runs."""
+    from html_parser_ray.cli import main
+
+    for fmt in ("parquet", "lance"):
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--input", str(tmp_path), "--output",
+                  str(tmp_path / "out"), "--format", fmt])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
 @pytest.mark.slow
 def test_cli_verify(tmp_path):
     env = {**os.environ, "PYTHONPATH": "/root/repo"}

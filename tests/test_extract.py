@@ -291,7 +291,8 @@ def test_batch_over_2gib_extracts_like_rows_one_at_a_time():
 
 def test_output_over_int32_offsets_halves_batch(monkeypatch):
     """Output that would overflow the int32 offsets halves the batch by rows
-    (counted); a single row that still overflows raises naming its doc."""
+    (counted), and each emitted span is counted once; a single row that
+    still overflows raises naming its doc."""
     import pytest
 
     import html_parser_ray.stages.extract_stage as stage_mod
@@ -300,10 +301,11 @@ def test_output_over_int32_offsets_halves_batch(monkeypatch):
     normal = stage_mod.ExtractSpansBatch()(_one_span_rows(texts))
 
     monkeypatch.setattr(stage_mod, "INT32_OFFSET_MAX", 30)
-    stage = stage_mod.ExtractSpansBatch(emit_metrics=True)
+    stage = stage_mod.ExtractSpansBatch()
     out = stage(_one_span_rows(texts))
-    assert out.drop(["metrics"]).equals(normal)
-    assert [m["spans_out"] for m in out.column("metrics").to_pylist()] == [1, 1, 1, 1]
+    assert out.equals(normal)
+    emitted = sum(map(len, out.column("spans_out").to_pylist()))
+    assert stage.extractor.stats.spans_out == emitted == 4
     assert stage.extractor.stats.native_fallbacks == 1
     # one call, halved below it: one batch of four docs
     assert (stage.extractor.stats.batches, stage.extractor.stats.docs) == (1, 4)
@@ -314,8 +316,8 @@ def test_output_over_int32_offsets_halves_batch(monkeypatch):
 
 def test_dom_kernel_counts_parse_errors_per_doc(monkeypatch):
     """When the DOM oracle extracts a batch's html, a doc the parser raises
-    on yields no blocks and one parse error, in the stats and in that row's
-    metrics, and the per-document oracle (the same ``dom_blocks``) agrees."""
+    on yields no blocks and one parse error in the stats, and the
+    per-document oracle (the same ``dom_blocks``) agrees."""
     import html_parser_ray.extract.extractor as extractor_mod
     import html_parser_ray.stages.extract_stage as stage_mod
 
@@ -328,16 +330,70 @@ def test_dom_kernel_counts_parse_errors_per_doc(monkeypatch):
 
     monkeypatch.setattr(extractor_mod, "parse_html", parse)
     table = _one_span_rows(["<p>x</p>", "<boom>", "<p>y</p>"], kind="html")
-    stage = stage_mod.ExtractSpansBatch(emit_metrics=True)
+    stage = stage_mod.ExtractSpansBatch()
     stage._html_kernel = stage._dom_blocks
     out = stage(table).to_pylist()
     assert [[s["text"] for s in r["spans_out"]] for r in out] == [["x"], [], ["y"]]
-    assert [r["metrics"]["parse_errors"] for r in out] == [0, 1, 0]
     assert stage.extractor.stats.parse_errors == 1
     oracle = SpanExtractor(layout_memo=False)
     want = [oracle.extract_document(spans) for spans in table.column("spans").to_pylist()]
     assert [r["spans_out"] for r in out] == want
     assert oracle.stats.parse_errors == 1
+
+
+def test_halved_dom_batch_counts_each_parse_error_once(monkeypatch):
+    """A batch whose html goes through the DOM path and whose output then
+    overflows the int32 offsets is halved and re-extracted: each doc the
+    parser raises on is counted once, not once per attempt."""
+    import pyarrow as pa
+
+    import html_parser_ray.extract.extractor as extractor_mod
+    import html_parser_ray.stages.extract_stage as stage_mod
+    from html_parser_ray.sources.corpus import SPAN_STRUCT
+
+    real_parse = extractor_mod.parse_html
+
+    def parse(src, *a):
+        if src == b"<boom>":
+            raise ValueError("synthetic parser failure")
+        return real_parse(src, *a)
+
+    monkeypatch.setattr(extractor_mod, "parse_html", parse)
+    # each doc: a short html span, then a media span whose layout JSON
+    # makes the output far larger than the input span text
+    htmls = ["<p>x</p>", "<boom>", "<p>y</p>", "<boom>"]
+    table = pa.table(
+        {
+            "doc_id": [f"d{i}" for i in range(4)],
+            "spans": pa.array(
+                [
+                    [
+                        {"kind": "html", "text": h, "media_ref": "", "offset": 0},
+                        {"kind": "media", "text": "", "media_ref": "media://pdf/000001", "offset": 1},
+                    ]
+                    for h in htmls
+                ],
+                type=pa.list_(SPAN_STRUCT),
+            ),
+        }
+    )
+
+    def dom_stage():
+        stage = stage_mod.ExtractSpansBatch()
+        stage._html_kernel = stage._dom_blocks
+        return stage
+
+    normal = dom_stage()(table)
+    out_bytes = sum(
+        len(s["text"].encode()) for r in normal.column("spans_out").to_pylist() for s in r
+    )
+    # the whole batch's output overflows, either half's does not
+    monkeypatch.setattr(stage_mod, "INT32_OFFSET_MAX", out_bytes - 1)
+    stage = dom_stage()
+    assert stage(table).equals(normal)
+    st = stage.extractor.stats
+    assert (st.batches, st.docs, st.native_fallbacks) == (1, 4, 1)
+    assert st.parse_errors == 2
 
 
 def _media_rows(refs_per_doc) -> "pa.Table":

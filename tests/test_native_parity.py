@@ -247,10 +247,9 @@ def test_scalar_config_variants_extractor_and_stage():
 
 def test_stage_passes_other_columns_through():
     """``doc_id`` first, ``spans_out`` second, then every other input column
-    except ``spans``, in input order and unchanged, also with
-    ``emit_metrics=True`` (``metrics`` last) and when an overflow halves
-    the batch; the spans still equal the DOM oracle."""
-    stage = ExtractSpansBatch(emit_metrics=True)
+    except ``spans``, in input order and unchanged, also when an overflow
+    halves the batch; the spans still equal the DOM oracle."""
+    stage = ExtractSpansBatch()
     real = stage._emit
 
     def capacity(batch):
@@ -268,7 +267,7 @@ def test_stage_passes_other_columns_through():
         for emit in (real, capacity):
             stage._emit = emit
             out = stage(t)
-            assert out.column_names == ["doc_id", "spans_out", "n", "tag", "metrics"]
+            assert out.column_names == ["doc_id", "spans_out", "n", "tag"]
             for name in ("doc_id", "n", "tag"):
                 assert out.column(name).equals(t.column(name)), (k, name)
             assert out.column("spans_out").to_pylist() == want, k
@@ -353,10 +352,9 @@ def test_batch_stage_counts_native_fallbacks():
     assert stage.extractor.stats.native_fallbacks > 0
 
     # a declined native call runs the DOM oracle for that batch, counted
-    stage = ExtractSpansBatch(emit_metrics=True)
+    stage = ExtractSpansBatch()
     stage._html_kernel = lambda *a: None
-    out = stage(table)
-    assert out.drop(["metrics"]).equals(normal)
+    assert stage(table).equals(normal)
     assert stage.extractor.stats.native_fallbacks == 1
     assert stage.extractor.stats.parse_errors == 0
 

@@ -234,10 +234,11 @@ def test_differential_smoke_one_seed(tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_differential_split_parity_one_seed():
-    """The seed-randomized corpus invariant (split/reassembly output ==
-    non-split output, tools/random_differential.py check_split_parity) runs
-    in-suite on one seed so the check itself stays green under pytest; the
-    fixed-shape parity pin lives in tests/test_pipeline_ray.py."""
+    """The seed-randomized giant-doc invariant (``split_giant_docs=True``
+    output == the DOM oracle per doc, tools/random_differential.py
+    check_split_parity) runs in-suite on one seed so the check itself stays
+    green under pytest; the fixed-shape pin lives in
+    tests/test_pipeline_ray.py."""
     from random_differential import check_split_parity
 
     msg = check_split_parity(1)
@@ -258,9 +259,9 @@ def test_differential_resume_parity_one_seed():
 
 @pytest.mark.usefixtures("ray_session")
 def test_differential_metrics_parity_one_seed():
-    """The seed-randomized metrics-mode invariant (stage output under
-    emit_metrics=True must match the DOM oracle per doc span-for-span AND
-    report input-derived ground-truth metrics;
+    """The seed-randomized extract-stats invariant (stage output must match
+    the DOM oracle per doc span-for-span AND an in-process stage's
+    ExtractStats must equal input-derived ground truth;
     tools/random_differential.py check_metrics_parity) runs in-suite on one
     seed."""
     from random_differential import check_metrics_parity

@@ -20,12 +20,14 @@ excluded: extract_corpus* and media_* (fixed seeded corpora, not
 sf-dependent).
 
 Full sweeps additionally run four seed-randomized ENGINE INVARIANTS over
-a per-seed random corpus (independent of the sf_dir tables):
-``corpus_split_parity`` (``split_giant_docs=True`` == default call),
-``checkpoint_resume_parity`` (crash-resume with a random lost-manifest
-subset == direct pipeline, value-exact), ``metrics_mode_parity``
-(stage output under ``emit_metrics=True`` == the DOM oracle per doc, plus
-metrics audited against input-derived ground truth), and
+a per-seed random corpus (independent of the sf_dir tables). The DOM
+oracle is ``SpanExtractor(layout_memo=False)`` with ``layout._native =
+None``: HTML through the DOM, layout with no memo and no native PDF path.
+``corpus_split_parity`` (a giant-doc corpus under ``split_giant_docs=True``
+== the DOM oracle per doc), ``checkpoint_resume_parity`` (crash-resume
+with a random lost-manifest subset == direct pipeline, value-exact),
+``extract_stats_parity`` (stage output == the DOM oracle per doc, and an
+in-process stage's ``ExtractStats`` == input-derived ground truth), and
 ``span_encoding_parity`` (the corpus with its ``spans`` fields re-typed to
 large strings, dictionaries and large lists == the DOM oracle per doc).
 
@@ -136,13 +138,36 @@ def _sorted_events_twin(sf_dir: str) -> str:
     return twin
 
 
+def _dom_oracle_spans(t) -> dict:
+    """doc_id -> the DOM oracle's spans, one doc at a time."""
+    from html_parser_ray.extract.extractor import SpanExtractor
+
+    oracle = SpanExtractor(layout_memo=False)
+    oracle.layout._native = None
+    return {
+        row["doc_id"]: oracle.extract_document(row["spans"]) for row in t.to_pylist()
+    }
+
+
+def _diff_oracle(rows, expected: dict, where: str) -> str | None:
+    """The first doc whose pipeline spans differ from ``expected``, if any."""
+    got = {r["doc_id"]: [dict(s) for s in r["spans_out"]] for r in rows}
+    if set(got) != set(expected) or len(rows) != len(expected):
+        return f"doc set mismatch: {len(expected)} input vs {len(rows)} out"
+    for k in sorted(expected):
+        if got[k] != expected[k]:
+            return f"spans_out diverge from the DOM oracle for {k} ({where})"
+    return None
+
+
 def check_split_parity(seed: int) -> str | None:
-    """``split_giant_docs=True`` ENGINE INVARIANT: its output equals the
-    default call's span-for-span. The committed test pins it at ONE corpus
-    shape (seed 42, 12 docs, tests/test_pipeline_ray.py); here the same
-    invariant runs per differential seed over a RANDOMIZED corpus — doc
-    count, giant-doc cadence/size/span-count and batch size all drawn from
-    the seed."""
+    """Giant-doc ENGINE INVARIANT: a corpus with giant docs extracts, under
+    ``split_giant_docs=True`` (accepted, and the same plan as the default),
+    to the DOM oracle's spans per doc. The committed test pins it at ONE
+    corpus shape (seed 42, 12 docs, tests/test_pipeline_ray.py); here it
+    runs per differential seed over a RANDOMIZED corpus — doc count,
+    giant-doc cadence/size/span-count and batch size all drawn from the
+    seed."""
     import numpy as np
     import ray.data
 
@@ -159,22 +184,10 @@ def check_split_parity(seed: int) -> str | None:
         giant_doc_spans=int(rng.choice([24, 60, 150])),
     )
     bs = int(rng.choice([2, 5, 16, 64]))
-    direct = build_extraction_pipeline(
-        ray.data.from_arrow(t), batch_size=bs
+    rows = build_extraction_pipeline(
+        ray.data.from_arrow(t), split_giant_docs=True, batch_size=bs
     ).take_all()
-    split = build_extraction_pipeline(
-        ray.data.from_arrow(t),
-        split_giant_docs=True,
-        batch_size=bs,
-    ).take_all()
-    d1 = {r["doc_id"]: r["spans_out"] for r in direct}
-    d2 = {r["doc_id"]: r["spans_out"] for r in split}
-    if set(d1) != set(d2):
-        return f"doc set mismatch: {len(d1)} direct vs {len(d2)} split"
-    for k in sorted(d1):
-        if d1[k] != d2[k]:
-            return f"spans_out diverge for {k} (n={n}, batch_size={bs})"
-    return None
+    return _diff_oracle(rows, _dom_oracle_spans(t), f"n={n}, batch_size={bs}")
 
 
 def check_resume_parity(seed: int) -> str | None:
@@ -246,61 +259,48 @@ def check_resume_parity(seed: int) -> str | None:
 
 
 def check_metrics_parity(seed: int) -> str | None:
-    """``emit_metrics=True`` ENGINE INVARIANT, on a random corpus shape
-    through the Ray stage: (a) every doc's spans_out equals the DOM oracle
-    (``SpanExtractor()``, one doc at a time), and (b) the
-    per-row metrics match ground truth computed from the input table:
-    spans_in == input span count, html_bytes == total UTF-8 bytes of the
-    doc's html spans, spans_out == emitted span count, parse_errors == 0."""
+    """Extract-stats ENGINE INVARIANT, on a random corpus shape: (a) every
+    doc's spans from the Ray stage equal the DOM oracle's, and (b) an
+    in-process ``ExtractSpansBatch`` run over the same table at the same
+    batch size counts, in its ``ExtractStats``, what the input and output
+    give: docs, batches, spans_in == input spans, html_bytes == UTF-8 bytes
+    of the html spans, spans_out == spans emitted, parse_errors == 0."""
     import numpy as np
     import ray.data
 
-    from html_parser_ray.extract.extractor import SpanExtractor
     from html_parser_ray.pipelines.extraction import build_extraction_pipeline
     from html_parser_ray.sources.corpus import generate_documents
+    from html_parser_ray.stages.extract_stage import ExtractSpansBatch
 
     rng = np.random.RandomState((seed ^ 0x3A7) % (2**31))
     n = int(rng.randint(25, 60))
     t = generate_documents(n, seed=seed)
     bs = int(rng.choice([3, 8, 32]))
-    withm = build_extraction_pipeline(
-        ray.data.from_arrow(t), batch_size=bs, emit_metrics=True
-    ).take_all()
-    oracle = SpanExtractor()
-    expected = {
-        row["doc_id"]: oracle.extract_document(row["spans"]) for row in t.to_pylist()
+    rows = build_extraction_pipeline(ray.data.from_arrow(t), batch_size=bs).take_all()
+    msg = _diff_oracle(rows, _dom_oracle_spans(t), f"n={n}, batch_size={bs}")
+    if msg is not None:
+        return msg
+    stage = ExtractSpansBatch()
+    for lo in range(0, n, bs):
+        stage(t.slice(lo, bs))
+    docs = t.to_pylist()
+    truth = {
+        "batches": -(-n // bs),
+        "docs": n,
+        "spans_in": sum(len(d["spans"]) for d in docs),
+        "spans_out": sum(len(r["spans_out"]) for r in rows),
+        "html_bytes": sum(
+            len(s["text"].encode("utf-8"))
+            for d in docs
+            for s in d["spans"]
+            if s["kind"] == "html" and s["text"] is not None
+        ),
+        "parse_errors": 0,
     }
-    got = {r["doc_id"]: [dict(s) for s in r["spans_out"]] for r in withm}
-    if set(got) != set(expected) or len(withm) != n:
-        return f"doc set mismatch: {len(expected)} input vs {len(got)} metrics-mode"
-    for k in sorted(expected):
-        if got[k] != expected[k]:
-            return f"spans_out diverge from the DOM oracle for {k} (n={n}, batch_size={bs})"
-    truth = {}
-    for row in t.to_pylist():
-        spans = row["spans"]
-        truth[row["doc_id"]] = (
-            len(spans),
-            sum(
-                len(s["text"].encode("utf-8"))
-                for s in spans
-                if s["kind"] == "html" and s["text"] is not None
-            ),
-        )
-    for r in withm:
-        m = r["metrics"]
-        exp_in, exp_html = truth[r["doc_id"]]
-        if m["spans_in"] != exp_in:
-            return f"{r['doc_id']}: spans_in {m['spans_in']} != {exp_in}"
-        if m["html_bytes"] != exp_html:
-            return f"{r['doc_id']}: html_bytes {m['html_bytes']} != {exp_html}"
-        if m["spans_out"] != len(r["spans_out"]):
-            return (
-                f"{r['doc_id']}: spans_out metric {m['spans_out']} != "
-                f"{len(r['spans_out'])} emitted"
-            )
-        if m["parse_errors"] != 0:
-            return f"{r['doc_id']}: parse_errors {m['parse_errors']} != 0"
+    for name, want in truth.items():
+        got = getattr(stage.extractor.stats, name)
+        if got != want:
+            return f"ExtractStats.{name} {got} != {want} (n={n}, batch_size={bs})"
     return None
 
 
@@ -314,7 +314,6 @@ def check_encoding_parity(seed: int) -> str | None:
     import pyarrow as pa
     import ray.data
 
-    from html_parser_ray.extract.extractor import SpanExtractor
     from html_parser_ray.pipelines.extraction import build_extraction_pipeline
     from html_parser_ray.sources.corpus import SPAN_STRUCT, generate_documents
 
@@ -337,11 +336,7 @@ def check_encoding_parity(seed: int) -> str | None:
     n = int(rng.randint(25, 60))
     t = generate_documents(n, seed=seed)
     bs = int(rng.choice([3, 8, 32]))
-    oracle = SpanExtractor(layout_memo=False)
-    oracle.layout._native = None
-    expected = {
-        row["doc_id"]: oracle.extract_document(row["spans"]) for row in t.to_pylist()
-    }
+    expected = _dom_oracle_spans(t)
     for name, enc in encodings.items():
         retyped = t.set_column(
             t.schema.get_field_index("spans"), "spans", t.column("spans").cast(enc)
@@ -349,15 +344,9 @@ def check_encoding_parity(seed: int) -> str | None:
         rows = build_extraction_pipeline(
             ray.data.from_arrow(retyped), batch_size=bs
         ).take_all()
-        got = {r["doc_id"]: [dict(s) for s in r["spans_out"]] for r in rows}
-        if set(got) != set(expected) or len(rows) != n:
-            return f"{name}: doc set mismatch: {len(expected)} input vs {len(rows)} out"
-        for k in sorted(expected):
-            if got[k] != expected[k]:
-                return (
-                    f"{name}: spans_out diverge from the DOM oracle for {k} "
-                    f"(n={n}, batch_size={bs})"
-                )
+        msg = _diff_oracle(rows, expected, f"n={n}, batch_size={bs}")
+        if msg is not None:
+            return f"{name}: {msg}"
     return None
 
 
@@ -635,7 +624,7 @@ def main() -> None:
             for label, check in (
                 ("corpus_split_parity", check_split_parity),
                 ("checkpoint_resume_parity", check_resume_parity),
-                ("metrics_mode_parity", check_metrics_parity),
+                ("extract_stats_parity", check_metrics_parity),
                 ("span_encoding_parity", check_encoding_parity),
             ):
                 total += 1
