@@ -12,8 +12,8 @@ Output row: ``doc_id, spans_out: list[{kind, text, media_ref, offset}]`` where
   equal to the reference-semantics normalized innerText;
 - ``media`` spans route through the layout branch and pass their media_ref
   through with layout metadata as text: ``layout_jsons`` probes one LRU memo
-  for a batch's refs and decodes all its misses in one
-  ``LayoutParser.layout_jsons`` call (one native PDF call for the batch).
+  for a batch's refs and decodes its misses in ``LayoutParser.layout_jsons``
+  calls of at most ``LAYOUT_DECODE_CHUNK`` refs (one native PDF call each).
 
 Output ``offset`` renumbers 0..k-1 in document order (input order of spans,
 block order within an html span) — the per-row invariant the north rule pins.
@@ -33,6 +33,9 @@ from html_parser_ray.html.text import normalize_bytes
 
 # refs the layout memo holds; past it the least recently used is evicted
 LAYOUT_MEMO_CAP = 1 << 16
+# refs per LayoutParser.layout_jsons call: the fetched payloads, the joined
+# blob and the PDF text scratch of one call stay this many refs' worth
+LAYOUT_DECODE_CHUNK = 1024
 
 
 def dom_blocks(
@@ -105,16 +108,17 @@ class SpanExtractor:
 
         Probe all, then insert: every ref is looked up in the memo first,
         and each hit moves to the most recent end in ``refs`` order. The
-        misses (each distinct ref once) are then decoded in ONE
-        ``self.layout.layout_jsons`` call, looked up per call so a wrapper
-        set on the instance after construction sees every decode, and
-        inserted in ``refs`` order; past ``LAYOUT_MEMO_CAP`` the least
-        recently used refs are evicted, which may include refs of this very
-        call. Without the memo every ref is decoded."""
+        misses (each distinct ref once) are then decoded in order, in
+        ``self.layout.layout_jsons`` calls of at most
+        ``LAYOUT_DECODE_CHUNK`` refs, looked up per call so a wrapper set on
+        the instance after construction sees every decode, and inserted in
+        ``refs`` order; past ``LAYOUT_MEMO_CAP`` the least recently used
+        refs are evicted, which may include refs of this very call. Without
+        the memo every ref is decoded."""
         st = self.stats
         memo = self._layout_memo
         if memo is None:
-            out, declined = self.layout.layout_jsons(refs)
+            out, declined = self._decode(refs)
             st.layout_decodes += len(refs)
         else:
             out = []
@@ -128,7 +132,7 @@ class SpanExtractor:
                 out.append(got)
             declined = 0
             if misses:
-                decoded, declined = self.layout.layout_jsons(list(misses))
+                decoded, declined = self._decode(list(misses))
                 memo.update(zip(misses, decoded))
                 out = [memo[r] if got is None else got for r, got in zip(refs, out)]
                 while len(memo) > LAYOUT_MEMO_CAP:
@@ -138,6 +142,17 @@ class SpanExtractor:
             st.layout_decodes += len(misses)
         st.layout_native_declined += declined
         return out
+
+    def _decode(self, refs: "list[str]") -> "tuple[list[bytes], int]":
+        """``self.layout.layout_jsons(refs)`` in calls of at most
+        ``LAYOUT_DECODE_CHUNK`` refs, joined."""
+        out: "list[bytes]" = []
+        declined = 0
+        for lo in range(0, len(refs), LAYOUT_DECODE_CHUNK):
+            part, d = self.layout.layout_jsons(refs[lo : lo + LAYOUT_DECODE_CHUNK])
+            out += part
+            declined += d
+        return out, declined
 
     def extract_document(self, spans: list[dict]) -> list[dict]:
         """Ordered output span list for one document's input span list.

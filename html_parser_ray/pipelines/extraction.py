@@ -2,12 +2,17 @@
 
 Dataset-level composition (no raw Ray tasks anywhere):
 
-    read (parquet/lance)                      # streaming blocks
+    read_corpus (parquet: CorpusDatasource; lance: read_lance)
       -> map_batches(extract_batch, ...)       # tasks, zero-copy Arrow
       -> write_parquet / caller consumption
 
-One streaming task transform with zero shuffles, for every corpus, which
-Ray Data may fuse with the maps next to it. The stage's load-once state
+The parquet read is planned on the driver from the file listing alone
+(``list_parquet_files``, the rule resumable runs partition by): one read
+task per file, no sampling tasks before the Dataset exists, and no block
+splitting, so a file smaller than ``DataContext.target_max_block_size`` is
+one block and a job runs at most one extract task per such file. One
+streaming task transform with zero shuffles follows, for every corpus,
+which Ray Data may fuse with the maps next to it. The stage's load-once state
 (kernels, config, the cross-batch layout memo) lives per worker process and
 per run: each ``build_extraction_pipeline`` call draws a run token, and a
 process keeps the one ``ExtractSpansBatch`` of the last run it served.
@@ -17,12 +22,17 @@ document is one long row in its batch, not a reason for an exchange.
 
 from __future__ import annotations
 
+import os
+from functools import partial
 from typing import Any, Sequence
 from uuid import uuid4
 
 import pyarrow as pa
+import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 import ray.data
+from ray.data.block import BlockMetadata
+from ray.data.datasource import ReadTask
 
 from html_parser_ray.stages.extract_stage import ExtractSpansBatch
 
@@ -97,14 +107,131 @@ def extract_batch(batch: pa.Table, run: str, stage_cls: type, kwargs: dict) -> p
     return _stage[1](batch)
 
 
-def read_corpus(path: str, file_format: str = "parquet", **kwargs) -> "ray.data.Dataset":
+def list_parquet_files(root: str, fs: "pafs.FileSystem | None" = None) -> "list[pafs.FileInfo]":
+    """The input files under the directory ``root`` of ``fs`` (the local
+    file system by default), at any depth, sorted by path: names that end in
+    ``.parquet`` and start with neither ``.`` nor ``_``. A missing ``root``
+    is a ``FileNotFoundError``."""
+    fs = fs or pafs.LocalFileSystem()
+    return sorted(
+        (
+            info
+            for info in fs.get_file_info(pafs.FileSelector(root, recursive=True))
+            if info.type == pafs.FileType.File
+            and info.base_name.endswith(".parquet")
+            and not info.base_name.startswith((".", "_"))
+        ),
+        key=lambda info: info.path,
+    )
+
+
+def _read_file(
+    fs: "pafs.FileSystem",
+    path: str,
+    shown: str,
+    schema: pa.Schema,
+    columns: "list[str] | None",
+    include_paths: bool,
+):
+    """The read task of one parquet file: one table per row group, cast to
+    ``schema``, with the ``path`` column ``shown`` when ``include_paths``.
+    Ray's read operator joins a task's tables into blocks of up to
+    ``DataContext.target_max_block_size`` and slices a larger one, so a
+    file smaller than that is one block."""
+    with fs.open_input_file(path) as f:
+        pf = pq.ParquetFile(f)
+        for g in range(pf.num_row_groups):
+            block = pf.read_row_group(g, columns=columns)
+            if include_paths:
+                block = block.append_column(
+                    "path", pa.array([shown] * block.num_rows, pa.string())
+                )
+            yield block if block.schema == schema else block.cast(schema)
+
+
+class CorpusDatasource(ray.data.Datasource):
+    """The corpus's parquet files as a Ray Data source: one read task per
+    file, planned from the listing alone. Ray's ``read_parquet`` samples
+    files in Ray tasks before the Dataset exists and splits each file's
+    output into small blocks; this plans from file names and sizes (the
+    size on disk is the size estimate), reads only the first file's schema
+    on the driver, and splits no block (``read_corpus`` asks for one block
+    per task).
+
+    ``paths`` is a file, a directory (read as ``list_parquet_files`` lists
+    it; no hive partition columns) or a list of either, local or a URI that
+    ``pyarrow.fs`` resolves. Every file is cast to the first file's schema,
+    pruned to ``columns`` in their order. ``include_paths`` appends a
+    ``path`` column: the file's path as given (for a URI, without its
+    scheme), a directory's files joined to it."""
+
+    def __init__(self, paths, columns=None, include_paths: bool = False) -> None:
+        self._files: "list[tuple[pafs.FileSystem, str, str, int]]" = []
+        for given in [paths] if isinstance(paths, str) else list(paths):
+            if "://" in given:
+                fs, path = pafs.FileSystem.from_uri(given)
+                shown = path
+            else:
+                fs, path, shown = pafs.LocalFileSystem(), os.path.abspath(given), given
+            info = fs.get_file_info(path)
+            if info.type == pafs.FileType.Directory:
+                self._files += [
+                    (fs, f.path, os.path.join(shown, os.path.relpath(f.path, path)), f.size)
+                    for f in list_parquet_files(path, fs)
+                ]
+            elif info.type == pafs.FileType.File:
+                self._files.append((fs, path, shown, info.size))
+            else:
+                raise FileNotFoundError(f"no such file or directory: {given!r}")
+        if not self._files:
+            raise FileNotFoundError(f"no parquet files under {paths!r}")
+        fs, first = self._files[0][:2]
+        with fs.open_input_file(first) as f:
+            schema = pq.read_schema(f)
+        if columns is not None:
+            schema = pa.schema([schema.field(c) for c in columns])
+        if include_paths:
+            schema = schema.append(pa.field("path", pa.string()))
+        self._schema = schema.remove_metadata()
+        self._columns = None if columns is None else list(columns)
+        self._include_paths = include_paths
+
+    @property
+    def num_files(self) -> int:
+        return len(self._files)
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(f[3] for f in self._files)
+
+    def get_read_tasks(self, parallelism: int) -> "list[ReadTask]":
+        schema, columns, include = self._schema, self._columns, self._include_paths
+        return [
+            ReadTask(
+                partial(_read_file, fs, path, shown, schema, columns, include),
+                BlockMetadata(
+                    num_rows=None, size_bytes=size, input_files=[path], exec_stats=None
+                ),
+                schema,
+            )
+            for fs, path, shown, size in self._files
+        ]
+
+
+def read_corpus(
+    path: "str | Sequence[str]", file_format: str = "parquet", **kwargs
+) -> "ray.data.Dataset":
     """Read the interleaved corpus: Lance (the production format per
-    input_hint) or parquet (the sandbox tests). Any other format is a
-    ``ValueError``."""
+    input_hint) through ``ray.data.read_lance``, or parquet (the sandbox
+    tests) through ``CorpusDatasource`` as one block stream per file, which
+    takes ``columns`` and ``include_paths``. A directory is read as
+    ``list_parquet_files`` lists it, so a file in it without the
+    ``.parquet`` suffix, which ``read_parquet`` used to read, is skipped.
+    Any other format is a ``ValueError``."""
     if file_format == "lance":
         return ray.data.read_lance(path, **kwargs)
     if file_format == "parquet":
-        return ray.data.read_parquet(path, **kwargs)
+        source = CorpusDatasource(path, **kwargs)
+        return ray.data.read_datasource(source, override_num_blocks=source.num_files)
     raise ValueError(
         f"file_format must be 'parquet' or 'lance', got {file_format!r}"
     )

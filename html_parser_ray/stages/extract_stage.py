@@ -219,8 +219,8 @@ class ExtractSpansBatch:
         counts[text_idx] = norm_lens > 0
 
         # media: one layout JSON per UNIQUE ref of the batch, from one
-        # ``layout_jsons`` call (the extractor's cross-batch memo, then one
-        # decode call for the misses); a span whose ref is the c-th unique
+        # ``layout_jsons`` call (the extractor's cross-batch memo, then the
+        # misses decoded in chunks); a span whose ref is the c-th unique
         # is pool entry nb + nt + c
         refs = pa.array([], type=pa.string())
         ujsons: "list[bytes]" = []

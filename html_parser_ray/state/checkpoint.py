@@ -74,13 +74,12 @@ def completed_partitions(output_root: str) -> set[int]:
 def partition_files(input_path: str, num_partitions: int) -> "list[list[dict]]":
     """The parquet files under the directory ``input_path`` (paths relative
     to it, sorted) cut into ``num_partitions`` contiguous ranges; each file
-    comes with its footer row count: ``[[{"path", "rows"}, ...], ...]``."""
-    names = sorted(
-        os.path.relpath(os.path.join(d, f), input_path)
-        for d, _, files in os.walk(input_path)
-        for f in files
-        if f.endswith(".parquet") and not f.startswith((".", "_"))
-    )
+    comes with its footer row count: ``[[{"path", "rows"}, ...], ...]``.
+    The files are those ``list_parquet_files`` lists, as the run's read
+    lists a directory."""
+    from html_parser_ray.pipelines.extraction import list_parquet_files
+
+    names = [os.path.relpath(f.path, input_path) for f in list_parquet_files(input_path)]
     if not names:
         raise FileNotFoundError(f"no parquet files under {input_path!r}")
     files = [
@@ -309,9 +308,9 @@ def run_resumable_extraction(
 
 
 def read_extraction_output(output_root: str):
-    """Read back all committed partitions as one Dataset (one read over
-    their files; no ``_part`` column)."""
-    import ray.data
+    """Read back all committed partitions as one Dataset (one
+    ``read_corpus`` over their files; no ``_part`` column)."""
+    from html_parser_ray.pipelines.extraction import read_corpus
 
     files = []
     for p in sorted(completed_partitions(output_root)):
@@ -324,7 +323,7 @@ def read_extraction_output(output_root: str):
             ]
     if not files:
         raise FileNotFoundError(f"no committed partitions under {output_root}")
-    return ray.data.read_parquet(files, partitioning=None)
+    return read_corpus(files)
 
 
 def manifest_records(output_root: str) -> list[dict]:

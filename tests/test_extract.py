@@ -537,3 +537,50 @@ def test_layout_memo_on_and_off_decode_counts():
         assert decoded == want
         assert ex.stats.layout_decodes == len(want)
         assert ex.stats.layout_hits == 8 - len(want)
+
+
+def test_layout_decode_in_chunks_matches_one_call(monkeypatch):
+    """A batch's misses decode in calls of at most ``LAYOUT_DECODE_CHUNK``
+    refs, in order, and the stage's output, memo order and every
+    ``ExtractStats`` count equal those of one decode call over all of them,
+    with hits, a non-PDF ref and evictions inside the batch."""
+    import dataclasses
+
+    import html_parser_ray.extract.extractor as extractor_mod
+    from html_parser_ray.stages.extract_stage import ExtractSpansBatch
+
+    monkeypatch.setattr(extractor_mod, "LAYOUT_MEMO_CAP", 9)
+    refs = [f"media://pdf/{i:06d}" for i in range(11)] + ["media://image/a.png"]
+    first = _media_rows([refs[:2]])
+    # 10 distinct misses (refs[2:12]) and 2 hits, past the cap of 9
+    second = _media_rows([[refs[2], refs[0], refs[3]], refs[4:8], [refs[1], *refs[8:12], refs[5]]])
+
+    def run(chunk: int):
+        monkeypatch.setattr(extractor_mod, "LAYOUT_DECODE_CHUNK", chunk)
+        stage = ExtractSpansBatch()
+        calls: "list[list[str]]" = []
+        inner = stage.extractor.layout.layout_jsons
+        stage.extractor.layout.layout_jsons = lambda r: calls.append(list(r)) or inner(r)
+        outs = [stage(first), stage(second)]
+        memo = stage.extractor._layout_memo
+        return outs, list(memo.items()), dataclasses.asdict(stage.extractor.stats), calls
+
+    outs, memo, stats, calls = run(3)
+    one_outs, one_memo, one_stats, one_calls = run(1 << 20)
+    assert one_calls == [refs[:2], refs[2:12]]
+    assert calls == [refs[:2], refs[2:5], refs[5:8], refs[8:11], refs[11:12]]
+    for out, one in zip(outs, one_outs):
+        assert out.equals(one)
+    _assert_oracle_equal(second, outs[1])
+    assert memo == one_memo and len(memo) == 9
+    assert stats == one_stats
+    assert (stats["layout_decodes"], stats["layout_hits"], stats["layout_evictions"]) == (12, 2, 3)
+
+    # without the memo (the oracle) every ref decodes, in the same chunks
+    monkeypatch.setattr(extractor_mod, "LAYOUT_DECODE_CHUNK", 5)
+    oracle = SpanExtractor(layout_memo=False)
+    sizes: "list[int]" = []
+    inner = oracle.layout.layout_jsons
+    oracle.layout.layout_jsons = lambda r: sizes.append(len(r)) or inner(r)
+    assert oracle.layout_jsons(refs) == inner(refs)[0]
+    assert sizes == [5, 5, 2] and oracle.stats.layout_decodes == len(refs)

@@ -4,6 +4,8 @@ split/reassembly helpers."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 import pyarrow as pa
@@ -242,3 +244,130 @@ def test_ray_pipeline_write_parquet(tmp_path):
     back = ray.data.read_parquet(out_dir).take_all()
     assert len(back) == 10
     assert {r["doc_id"] for r in back} == {f"doc-{i:08d}" for i in range(10)}
+
+
+def _read_table(ds) -> pa.Table:
+    """Every block of ``ds``, in the order its read delivered them."""
+    import ray
+
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_read_plans_from_the_listing_without_sampling_or_splitting(tmp_path, monkeypatch):
+    """The parquet read lists its files and plans one task per file: Ray's
+    fragment sampling is never called, by a streaming read or by a
+    resumable run, and a 4-file read of one row group each is 4 blocks with
+    no ``SplitBlocks``."""
+    import ray.data._internal.datasource.parquet_datasource as ray_parquet
+    import pyarrow.parquet as pq
+
+    from html_parser_ray.pipelines.extraction import read_corpus
+    from html_parser_ray.sources.corpus import write_corpus_parquet
+    from html_parser_ray.state.checkpoint import read_extraction_output, run_resumable_extraction
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the read sampled parquet fragments")
+
+    monkeypatch.setattr(ray_parquet, "sample_fragments", refuse)
+    inp = str(tmp_path / "in")
+    write_corpus_parquet(inp, 40, seed=11, rows_per_file=10)
+    files = sorted(os.listdir(inp))
+    groups = sum(pq.ParquetFile(os.path.join(inp, f)).num_row_groups for f in files)
+    assert len(files) == groups == 4
+
+    ds = read_corpus(inp)
+    assert _read_table(ds).num_rows == 40
+    stats = ds.stats()
+    assert "SplitBlocks" not in stats
+    assert f"ReadCorpus: 4 tasks executed, {groups} blocks produced" in stats
+
+    out = str(tmp_path / "out")
+    res = run_resumable_extraction(inp, out, num_partitions=2, batch_size=8)
+    assert res["rows"] == 40
+    assert read_extraction_output(out).count() == 40
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_read_slices_a_row_group_larger_than_the_block_target(tmp_path):
+    """A row group past ``DataContext.target_max_block_size`` arrives in
+    slices, in order, not as one block."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from html_parser_ray.pipelines.extraction import read_corpus
+
+    t = generate_documents(60, seed=5)
+    path = str(tmp_path / "one.parquet")
+    pq.write_table(t, path)
+    assert pq.ParquetFile(path).num_row_groups == 1
+    ctx = ray.data.DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = max(1, t.nbytes // 8)
+    try:
+        ds = read_corpus(path)
+        blocks = [ray.get(r) for r in ds.to_arrow_refs()]
+    finally:
+        ctx.target_max_block_size = saved
+    assert len(blocks) > 1
+    assert pa.concat_tables(blocks).equals(t)
+
+
+def _span_type(strings: pa.DataType) -> pa.DataType:
+    from html_parser_ray.sources.corpus import SPAN_STRUCT
+
+    return pa.list_(
+        pa.struct(
+            [(f.name, strings if f.name in ("text", "media_ref") else f.type) for f in SPAN_STRUCT]
+        )
+    )
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_read_equals_pyarrow_read_table(tmp_path):
+    """``read_corpus`` reads what ``pq.read_table`` reads: a file of 3 row
+    groups, a directory whose two files store the span strings as
+    ``string`` and ``large_string`` (both read as the first file's type),
+    an empty file, ``columns=`` pruning in the order asked, the ``path``
+    column of ``include_paths=True`` and a ``file://`` URI."""
+    import pyarrow.parquet as pq
+
+    from html_parser_ray.pipelines.extraction import read_corpus
+
+    t = generate_documents(30, seed=9)
+
+    three = str(tmp_path / "three.parquet")
+    pq.write_table(t, three, row_group_size=10)
+    assert pq.ParquetFile(three).num_row_groups == 3
+    assert _read_table(read_corpus(three)).equals(pq.read_table(three))
+
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    pq.write_table(t.slice(0, 12), str(mixed / "a.parquet"), row_group_size=5)
+    large = t.slice(12).cast(pa.schema([("doc_id", pa.string()), ("spans", _span_type(pa.large_string()))]))
+    pq.write_table(large, str(mixed / "b.parquet"))
+    want = pq.read_table(str(mixed))
+    assert want.schema.field("spans").type == _span_type(pa.string())
+    got = _read_table(read_corpus(str(mixed)))
+    assert got.sort_by("doc_id").equals(want.sort_by("doc_id"))
+
+    empty = str(tmp_path / "empty.parquet")
+    pq.write_table(t.slice(0, 0), empty)
+    got = _read_table(read_corpus(empty))
+    assert got.num_rows == 0 and got.schema.equals(pq.read_table(empty).schema)
+
+    cols = ["spans", "doc_id"]
+    got = _read_table(read_corpus(str(mixed), columns=cols))
+    assert got.column_names == cols
+    assert got.sort_by("doc_id").equals(pq.read_table(str(mixed), columns=cols).sort_by("doc_id"))
+
+    got = _read_table(read_corpus([three, str(mixed)], include_paths=True))
+    assert got.column_names == ["doc_id", "spans", "path"]
+    paths = {three: 30, str(mixed / "a.parquet"): 12, str(mixed / "b.parquet"): 18}
+    assert sorted(got.column("path").to_pylist()) == sorted(
+        p for p, n in paths.items() for _ in range(n)
+    )
+
+    uri = _read_table(read_corpus(f"file://{mixed}", include_paths=True))
+    assert uri.drop_columns(["path"]).sort_by("doc_id").equals(want.sort_by("doc_id"))
+    assert set(uri.column("path").to_pylist()) == {str(mixed / "a.parquet"), str(mixed / "b.parquet")}

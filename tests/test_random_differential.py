@@ -268,3 +268,16 @@ def test_differential_metrics_parity_one_seed():
 
     msg = check_metrics_parity(1)
     assert msg is None, msg
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_differential_read_parity_one_seed():
+    """The seed-randomized parquet-read invariant (``read_corpus`` ==
+    ``pq.read_table`` over a multi-file, multi-row-group corpus of mixed
+    string encodings, and the stage over that read == the DOM oracle per
+    doc; tools/random_differential.py check_read_parity) runs in-suite on
+    one seed."""
+    from random_differential import check_read_parity
+
+    msg = check_read_parity(1)
+    assert msg is None, msg

@@ -19,7 +19,7 @@ self-matches — the bug class the r5 gemv divergence lived in. Still
 excluded: extract_corpus* and media_* (fixed seeded corpora, not
 sf-dependent).
 
-Full sweeps additionally run four seed-randomized ENGINE INVARIANTS over
+Full sweeps additionally run five seed-randomized ENGINE INVARIANTS over
 a per-seed random corpus (independent of the sf_dir tables). The DOM
 oracle is ``SpanExtractor(layout_memo=False)`` with ``layout._native =
 None``: HTML through the DOM, layout with no memo and no native PDF path.
@@ -27,9 +27,12 @@ None``: HTML through the DOM, layout with no memo and no native PDF path.
 == the DOM oracle per doc), ``checkpoint_resume_parity`` (crash-resume
 with a random lost-manifest subset == direct pipeline, value-exact),
 ``extract_stats_parity`` (stage output == the DOM oracle per doc, and an
-in-process stage's ``ExtractStats`` == input-derived ground truth), and
+in-process stage's ``ExtractStats`` == input-derived ground truth),
 ``span_encoding_parity`` (the corpus with its ``spans`` fields re-typed to
-large strings, dictionaries and large lists == the DOM oracle per doc).
+large strings, dictionaries and large lists == the DOM oracle per doc), and
+``read_parity`` (a multi-file, multi-row-group corpus of mixed string
+encodings: ``read_corpus`` == ``pq.read_table`` row for row, and the stage
+over that read == the DOM oracle per doc).
 
 Usage:
     python tools/random_differential.py --seeds 0 1 2 3 --scale 0.4
@@ -350,6 +353,70 @@ def check_encoding_parity(seed: int) -> str | None:
     return None
 
 
+def check_read_parity(seed: int) -> str | None:
+    """Parquet-read ENGINE INVARIANT: a random corpus cut into 2-6 files of
+    seed-drawn row-group sizes, each file storing the span strings as
+    ``string`` or ``large_string`` (both occur; at times one empty file
+    follows), reads through ``read_corpus`` to what ``pq.read_table``
+    reads, row for row (both cast to the first file's types), and the
+    extract stage over that read equals the DOM oracle per doc."""
+    import tempfile
+
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from html_parser_ray.pipelines.extraction import build_extraction_pipeline, read_corpus
+    from html_parser_ray.sources.corpus import SPAN_STRUCT, generate_documents
+
+    rng = np.random.RandomState((seed ^ 0x8EAD) % (2**31))
+    n = int(rng.randint(30, 90))
+    t = generate_documents(n, seed=seed)
+    large = pa.schema(
+        [
+            ("doc_id", pa.string()),
+            (
+                "spans",
+                pa.list_(
+                    pa.struct(
+                        [
+                            (f.name, pa.large_string() if f.type == pa.string() else f.type)
+                            for f in SPAN_STRUCT
+                        ]
+                    )
+                ),
+            ),
+        ]
+    )
+    n_files = int(rng.randint(2, 7))
+    cuts = [0, *sorted(int(c) for c in rng.choice(np.arange(1, n), n_files - 1, replace=False)), n]
+    bs = int(rng.choice([4, 16, 64]))
+    # at least one file of each encoding
+    is_large = rng.rand(n_files) < 0.5
+    if is_large.all() or not is_large.any():
+        is_large[int(rng.randint(1, n_files))] ^= True
+    with tempfile.TemporaryDirectory(prefix="rdiff_read_") as td:
+        for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            part = t.slice(lo, hi - lo)
+            if is_large[i]:
+                part = part.cast(large)
+            pq.write_table(
+                part, os.path.join(td, f"part-{i:02d}.parquet"),
+                row_group_size=int(rng.choice([3, 8, 25])),
+            )
+        if rng.rand() < 0.5:
+            pq.write_table(t.slice(0, 0), os.path.join(td, f"part-{n_files:02d}.parquet"))
+        want = pq.read_table(td).sort_by("doc_id")
+        got = pa.concat_tables(ray.get(read_corpus(td).to_arrow_refs()))
+        if not got.sort_by("doc_id").equals(want):
+            return f"read_corpus != pq.read_table (n={n}, files={n_files})"
+        rows = build_extraction_pipeline(read_corpus(td), batch_size=bs).take_all()
+    return _diff_oracle(
+        rows, _dom_oracle_spans(t), f"n={n}, files={n_files}, batch_size={bs}"
+    )
+
+
 # Golden-backed queries whose committed oracle is meaningless on random
 # input, but whose SERIAL TWIN (tools/gen_goldens.py — the same function
 # that produced the committed golden) can recompute the expected frame on
@@ -626,6 +693,7 @@ def main() -> None:
                 ("checkpoint_resume_parity", check_resume_parity),
                 ("extract_stats_parity", check_metrics_parity),
                 ("span_encoding_parity", check_encoding_parity),
+                ("read_parity", check_read_parity),
             ):
                 total += 1
                 try:
@@ -650,7 +718,7 @@ def main() -> None:
         for seed, name, msg in failures:
             print(f"  seed={seed} {name}: {msg.splitlines()[0]}")
         sys.exit(1)
-    extra = 4 if args.queries is None else 0
+    extra = 5 if args.queries is None else 0
     print(f"\nALL GREEN: {len(names) + extra} checks x {len(seeds)} seeds")
 
 
