@@ -10,12 +10,15 @@ The parquet read is planned on the driver from the file listing alone
 (``list_parquet_files``, the rule resumable runs partition by): one read
 task per file, no sampling tasks before the Dataset exists, and no block
 splitting, so a file smaller than ``DataContext.target_max_block_size`` is
-one block and a job runs at most one extract task per such file. One
-streaming task transform with zero shuffles follows, for every corpus,
-which Ray Data may fuse with the maps next to it. The stage's load-once state
-(kernels, config, the cross-batch layout memo) lives per worker process and
-per run: each ``build_extraction_pipeline`` call draws a run token, and a
-process keeps the one ``ExtractSpansBatch`` of the last run it served.
+one block and a job runs at most one extract task per such file. Given
+``parts`` (one int per path), the read tags each row with its path's int
+in a ``part`` column: a resumable run tags each row with its partition so,
+and its write groups rows by that column. One streaming task transform
+with zero shuffles follows, for every corpus, which Ray Data may fuse with
+the maps next to it. The stage's load-once state (kernels, config, the
+cross-batch layout memo) lives per worker process and per run: each
+``build_extraction_pipeline`` call draws a run token, and a process keeps
+the one ``ExtractSpansBatch`` of the last run it served.
 Giant documents take the same path: extraction is per span, so a multi-MB
 document is one long row in its batch, not a reason for an exchange.
 """
@@ -64,10 +67,12 @@ def default_batch_size(paths: Sequence[str]) -> int:
     """Rows per extract batch for the parquet files ``paths``:
     ``TARGET_BATCH_BYTES`` over the bytes per row of the ``spans`` column
     (its column chunks' ``total_uncompressed_size`` over ``num_rows``, from
-    at most ``SIZING_FOOTERS`` footers evenly spaced over ``paths``),
+    at most ``SIZING_FOOTERS`` footers evenly spaced over ``paths`` in
+    sorted order, so the size does not depend on the order given),
     clamped to ``[MIN_BATCH_ROWS, MAX_BATCH_ROWS]``. ``FALLBACK_BATCH_ROWS``
     when no footer gives a row: no paths, none readable as parquet, or
     zero rows."""
+    paths = sorted(paths)
     n = min(len(paths), SIZING_FOOTERS)
     rows = span_bytes = 0
     for k in range(n):
@@ -128,23 +133,22 @@ def list_parquet_files(root: str, fs: "pafs.FileSystem | None" = None) -> "list[
 def _read_file(
     fs: "pafs.FileSystem",
     path: str,
-    shown: str,
+    part: "int | None",
     schema: pa.Schema,
     columns: "list[str] | None",
-    include_paths: bool,
 ):
     """The read task of one parquet file: one table per row group, cast to
-    ``schema``, with the ``path`` column ``shown`` when ``include_paths``.
-    Ray's read operator joins a task's tables into blocks of up to
+    ``schema``, with an int32 ``part`` column holding ``part`` unless it is
+    ``None``. Ray's read operator joins a task's tables into blocks of up to
     ``DataContext.target_max_block_size`` and slices a larger one, so a
     file smaller than that is one block."""
     with fs.open_input_file(path) as f:
         pf = pq.ParquetFile(f)
         for g in range(pf.num_row_groups):
             block = pf.read_row_group(g, columns=columns)
-            if include_paths:
+            if part is not None:
                 block = block.append_column(
-                    "path", pa.array([shown] * block.num_rows, pa.string())
+                    "part", pa.repeat(pa.scalar(part, pa.int32()), block.num_rows)
                 )
             yield block if block.schema == schema else block.cast(schema)
 
@@ -161,28 +165,28 @@ class CorpusDatasource(ray.data.Datasource):
     ``paths`` is a file, a directory (read as ``list_parquet_files`` lists
     it; no hive partition columns) or a list of either, local or a URI that
     ``pyarrow.fs`` resolves. Every file is cast to the first file's schema,
-    pruned to ``columns`` in their order. ``include_paths`` appends a
-    ``path`` column: the file's path as given (for a URI, without its
-    scheme), a directory's files joined to it."""
+    pruned to ``columns`` in their order. ``parts`` holds one int per given
+    path; each row then carries its path's int in an int32 ``part`` column,
+    and every file of a directory carries the directory's int. A ``parts``
+    of another length than the paths is a ``ValueError``."""
 
-    def __init__(self, paths, columns=None, include_paths: bool = False) -> None:
-        self._files: "list[tuple[pafs.FileSystem, str, str, int]]" = []
-        for given in [paths] if isinstance(paths, str) else list(paths):
-            if "://" in given:
-                fs, path = pafs.FileSystem.from_uri(given)
-                shown = path
+    def __init__(self, paths, columns=None, parts: "Sequence[int] | None" = None) -> None:
+        given = [paths] if isinstance(paths, str) else list(paths)
+        if parts is not None and len(parts) != len(given):
+            raise ValueError(f"{len(parts)} parts for {len(given)} paths")
+        self._files: "list[tuple[pafs.FileSystem, str, int | None, int]]" = []
+        for name, part in zip(given, [None] * len(given) if parts is None else parts):
+            if "://" in name:
+                fs, path = pafs.FileSystem.from_uri(name)
             else:
-                fs, path, shown = pafs.LocalFileSystem(), os.path.abspath(given), given
+                fs, path = pafs.LocalFileSystem(), os.path.abspath(name)
             info = fs.get_file_info(path)
             if info.type == pafs.FileType.Directory:
-                self._files += [
-                    (fs, f.path, os.path.join(shown, os.path.relpath(f.path, path)), f.size)
-                    for f in list_parquet_files(path, fs)
-                ]
+                self._files += [(fs, f.path, part, f.size) for f in list_parquet_files(path, fs)]
             elif info.type == pafs.FileType.File:
-                self._files.append((fs, path, shown, info.size))
+                self._files.append((fs, path, part, info.size))
             else:
-                raise FileNotFoundError(f"no such file or directory: {given!r}")
+                raise FileNotFoundError(f"no such file or directory: {name!r}")
         if not self._files:
             raise FileNotFoundError(f"no parquet files under {paths!r}")
         fs, first = self._files[0][:2]
@@ -190,11 +194,10 @@ class CorpusDatasource(ray.data.Datasource):
             schema = pq.read_schema(f)
         if columns is not None:
             schema = pa.schema([schema.field(c) for c in columns])
-        if include_paths:
-            schema = schema.append(pa.field("path", pa.string()))
+        if parts is not None:
+            schema = schema.append(pa.field("part", pa.int32()))
         self._schema = schema.remove_metadata()
         self._columns = None if columns is None else list(columns)
-        self._include_paths = include_paths
 
     @property
     def num_files(self) -> int:
@@ -204,16 +207,16 @@ class CorpusDatasource(ray.data.Datasource):
         return sum(f[3] for f in self._files)
 
     def get_read_tasks(self, parallelism: int) -> "list[ReadTask]":
-        schema, columns, include = self._schema, self._columns, self._include_paths
+        schema, columns = self._schema, self._columns
         return [
             ReadTask(
-                partial(_read_file, fs, path, shown, schema, columns, include),
+                partial(_read_file, fs, path, part, schema, columns),
                 BlockMetadata(
                     num_rows=None, size_bytes=size, input_files=[path], exec_stats=None
                 ),
                 schema,
             )
-            for fs, path, shown, size in self._files
+            for fs, path, part, size in self._files
         ]
 
 
@@ -223,7 +226,8 @@ def read_corpus(
     """Read the interleaved corpus: Lance (the production format per
     input_hint) through ``ray.data.read_lance``, or parquet (the sandbox
     tests) through ``CorpusDatasource`` as one block stream per file, which
-    takes ``columns`` and ``include_paths``. A directory is read as
+    takes ``columns`` and ``parts`` (one int per path, carried by each of
+    its rows in a ``part`` column). A directory is read as
     ``list_parquet_files`` lists it, so a file in it without the
     ``.parquet`` suffix, which ``read_parquet`` used to read, is skipped.
     Any other format is a ``ValueError``."""

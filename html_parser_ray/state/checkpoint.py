@@ -14,16 +14,19 @@ the sum of its files' parquet footer counts, so no document is hashed to
 find its partition.
 
 A run is ONE streaming Ray Data execution over the files of every
-uncommitted partition: read (with each row's file path) -> extract (which
-passes the path through) -> a write map that finds each row's partition
-from its path, writes each batch's rows of partition ``k`` under
-``_part=k/`` and returns one small row per file written. Both maps are
+uncommitted partition: read (``read_corpus(files, parts=...)``, which tags
+each row with its file's partition in an int32 ``part`` column) -> extract
+(which passes the column through) -> a write map that writes each batch's
+rows of partition ``k`` under ``_part=k/``, without the column, and returns
+one small row per file written. The write map gets only ``output_root``:
+no file list crosses to a task and no batch looks a path up. Both maps are
 tasks with the run's ``concurrency``, so Ray Data fuses them into one
 extract->write task at any cap; the read is its own operator. The driver
-iterates those rows and commits partition ``k`` as soon as its written
-rows equal its expected rows. A crash loses only the uncommitted
-partitions, whose files a resumed run clears before it redoes them; a
-resumed run skips every committed partition.
+takes those rows as each task returns them (no prefetch) and commits
+partition ``k`` as soon as its written rows equal its expected rows. A
+crash loses only the uncommitted partitions, whose files a resumed run
+clears before it redoes them; a resumed run skips every committed
+partition.
 """
 
 from __future__ import annotations
@@ -116,19 +119,16 @@ def _commit_manifest(output_root: str, part: int, record: dict) -> None:
     _fsync_dir(mdir)
 
 
-def write_partitions(
-    batch: pa.Table, output_root: str, paths: "list[str]", parts: "list[int]"
-) -> pa.Table:
+def write_partitions(batch: pa.Table, output_root: str) -> pa.Table:
     """Write an extracted batch's rows of each partition ``k`` to
     ``_part=k/<name>.parquet`` and return one ``WRITTEN_SCHEMA`` row per
-    file. A row's partition comes from the read's ``path`` column (file
-    ``paths[i]`` belongs to partition ``parts[i]``), which is not written.
-    The name is a digest of the file's first and last doc id and its row
-    count, so a re-executed write of the same rows overwrites its own file;
-    the rename makes a file appear whole or not at all."""
-    idx = pc.index_in(batch.column("path"), value_set=pa.array(paths))
-    row_parts = pc.take(pa.array(parts, type=pa.int32()), idx)
-    data = batch.drop_columns(["path"])
+    file. A row's partition is its ``part`` column, set by the read, which
+    is not written. The name is a digest of the file's first and last doc
+    id and its row count, so a re-executed write of the same rows
+    overwrites its own file; the rename makes a file appear whole or not
+    at all."""
+    row_parts = batch.column("part")
+    data = batch.drop_columns(["part"])
     out: "dict[str, list]" = {name: [] for name in WRITTEN_SCHEMA.names}
     for k in pc.unique(row_parts).to_pylist():
         rows = data.filter(pc.equal(row_parts, k))
@@ -255,24 +255,24 @@ def run_resumable_extraction(
         if not expected[p]:  # no input rows: commits without a Ray job
             commit(p)
     if live:
-        paths = [
-            os.path.abspath(os.path.join(input_path, f["path"]))
-            for p in live
-            for f in plan[p]
-        ]
+        files = [os.path.join(input_path, f["path"]) for p in live for f in plan[p]]
         parts = [p for p in live for _ in plan[p]]
         # Ray Data fuses task maps only at equal concurrency, so the write
         # takes the extract stage's cap to run in the extract's task
         ds = extraction.build_extraction_pipeline(
-            extraction.read_corpus(paths, include_paths=True), **pipeline_kwargs
+            extraction.read_corpus(files, parts=parts), **pipeline_kwargs
         ).map_batches(
             write_partitions,
-            fn_kwargs={"output_root": output_root, "paths": paths, "parts": parts},
+            fn_kwargs={"output_root": output_root},
             batch_format="pyarrow",
             batch_size=None,
             concurrency=pipeline_kwargs.get("concurrency"),
         )
-        for row in ds.iter_rows():
+        # no prefetch: a write's rows reach the driver, and its partition
+        # commits, when the write ends, not when the next task's output
+        # arrives
+        batches = ds.iter_batches(batch_size=None, batch_format="pyarrow", prefetch_batches=0)
+        for row in (r for b in batches for r in b.to_pylist()):
             p = row["part"]
             acc = written[p]
             acc[0] += row["rows"]

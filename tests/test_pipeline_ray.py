@@ -324,13 +324,18 @@ def _span_type(strings: pa.DataType) -> pa.DataType:
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_read_equals_pyarrow_read_table(tmp_path):
+def test_read_equals_pyarrow_read_table(tmp_path, monkeypatch):
     """``read_corpus`` reads what ``pq.read_table`` reads: a file of 3 row
     groups, a directory whose two files store the span strings as
     ``string`` and ``large_string`` (both read as the first file's type),
-    an empty file, ``columns=`` pruning in the order asked, the ``path``
-    column of ``include_paths=True`` and a ``file://`` URI."""
+    an empty file, ``columns=`` pruning in the order asked and a
+    ``file://`` URI. With ``parts`` each row also carries its given path's
+    int in an int32 ``part`` column (each file of a directory the
+    directory's int), and a ``parts`` of another length than the paths is
+    a ``ValueError`` before a read is planned."""
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
+    import ray.data
 
     from html_parser_ray.pipelines.extraction import read_corpus
 
@@ -361,13 +366,27 @@ def test_read_equals_pyarrow_read_table(tmp_path):
     assert got.column_names == cols
     assert got.sort_by("doc_id").equals(pq.read_table(str(mixed), columns=cols).sort_by("doc_id"))
 
-    got = _read_table(read_corpus([three, str(mixed)], include_paths=True))
-    assert got.column_names == ["doc_id", "spans", "path"]
-    paths = {three: 30, str(mixed / "a.parquet"): 12, str(mixed / "b.parquet"): 18}
-    assert sorted(got.column("path").to_pylist()) == sorted(
-        p for p, n in paths.items() for _ in range(n)
-    )
+    # parts: one int per given path, a directory's for each of its files;
+    # ``seven`` tells a swap of the ints apart (three and mixed hold one
+    # table's rows)
+    seven = str(tmp_path / "seven.parquet")
+    pq.write_table(t.slice(0, 7), seven)
+    got = _read_table(read_corpus([three, str(mixed), seven], parts=[4, 7, 9]))
+    assert got.column_names == ["doc_id", "spans", "part"]
+    assert got.schema.field("part").type == pa.int32()
+    tags = got.column("part").to_pylist()
+    assert (tags.count(4), tags.count(7), tags.count(9)) == (30, 30, 7)
+    for part, expect in ((4, pq.read_table(three)), (7, want), (9, pq.read_table(seven))):
+        rows = got.filter(pc.equal(got.column("part"), part)).drop_columns(["part"])
+        assert rows.sort_by("doc_id").equals(expect.sort_by("doc_id"))
 
-    uri = _read_table(read_corpus(f"file://{mixed}", include_paths=True))
-    assert uri.drop_columns(["path"]).sort_by("doc_id").equals(want.sort_by("doc_id"))
-    assert set(uri.column("path").to_pylist()) == {str(mixed / "a.parquet"), str(mixed / "b.parquet")}
+    uri = _read_table(read_corpus(f"file://{mixed}", parts=[2]))
+    assert set(uri.column("part").to_pylist()) == {2}
+    assert uri.drop_columns(["part"]).sort_by("doc_id").equals(want.sort_by("doc_id"))
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a read was planned")
+
+    monkeypatch.setattr(ray.data, "read_datasource", no_read)
+    with pytest.raises(ValueError, match="2 parts for 3 paths"):
+        read_corpus([three, str(mixed), seven], parts=[4, 7])

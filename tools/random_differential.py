@@ -31,7 +31,8 @@ in-process stage's ``ExtractStats`` == input-derived ground truth),
 ``span_encoding_parity`` (the corpus with its ``spans`` fields re-typed to
 large strings, dictionaries and large lists == the DOM oracle per doc), and
 ``read_parity`` (a multi-file, multi-row-group corpus of mixed string
-encodings: ``read_corpus`` == ``pq.read_table`` row for row, and the stage
+encodings: ``read_corpus`` == ``pq.read_table`` row for row, also read file
+by file with random ``parts``, each row's ``part`` its file's; and the stage
 over that read == the DOM oracle per doc).
 
 Usage:
@@ -358,8 +359,10 @@ def check_read_parity(seed: int) -> str | None:
     seed-drawn row-group sizes, each file storing the span strings as
     ``string`` or ``large_string`` (both occur; at times one empty file
     follows), reads through ``read_corpus`` to what ``pq.read_table``
-    reads, row for row (both cast to the first file's types), and the
-    extract stage over that read equals the DOM oracle per doc."""
+    reads, row for row (both cast to the first file's types), also when the
+    files are given one by one with random ``parts``, where every row's
+    ``part`` must be its file's; and the extract stage over that read
+    equals the DOM oracle per doc."""
     import tempfile
 
     import numpy as np
@@ -411,6 +414,17 @@ def check_read_parity(seed: int) -> str | None:
         got = pa.concat_tables(ray.get(read_corpus(td).to_arrow_refs()))
         if not got.sort_by("doc_id").equals(want):
             return f"read_corpus != pq.read_table (n={n}, files={n_files})"
+        # the same files given one by one, each with a random part
+        files = sorted(os.path.join(td, f) for f in os.listdir(td))
+        parts = [int(p) for p in rng.randint(-(2**31), 2**31, len(files))]
+        ids = t.column("doc_id").to_pylist()
+        want_part = {d: parts[i] for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])) for d in ids[lo:hi]}
+        tagged = pa.concat_tables(ray.get(read_corpus(files, parts=parts).to_arrow_refs()))
+        if not tagged.drop_columns(["part"]).sort_by("doc_id").equals(want):
+            return f"read_corpus(parts=...) != pq.read_table (n={n}, files={n_files})"
+        got_part = dict(zip(tagged.column("doc_id").to_pylist(), tagged.column("part").to_pylist()))
+        if got_part != want_part:
+            return f"a row's part is not its file's (n={n}, files={n_files}, parts={parts})"
         rows = build_extraction_pipeline(read_corpus(td), batch_size=bs).take_all()
     return _diff_oracle(
         rows, _dom_oracle_spans(t), f"n={n}, files={n_files}, batch_size={bs}"
