@@ -11,14 +11,14 @@ Deterministic by construction: same DOM in, same block decisions out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from html_parser_ray.html.text import NormState, decode_normalize_segment
 from html_parser_ray.html.tokenizer import KIND_ELEMENT, KIND_TEXT
 
 # The drop tables below are compiled into the native kernel too
-# (native/fused_extract.c); tests/test_tag_table_parity.py pins the two.
+# (native/fused_extract.c); tests/test_tag_table_parity.py pins the two. The
+# two thresholds are passed to it by its wrapper (native/__init__.py).
 
 # Subtrees dropped wholesale: scripts/styles are never content; nav/chrome
 # elements are boilerplate by role.
@@ -42,16 +42,10 @@ BLOCK_TAGS = frozenset(
 
 LINK_TAG = b"a"
 
-
-@dataclass(frozen=True)
-class ExtractConfig:
-    """Extraction thresholds (part of this engine's spec, pinned by tests):
-    the two scalars the native kernel takes as arguments."""
-
-    # a block whose link-text/text ratio exceeds this is navigation-like
-    max_link_density: float = 0.5
-    # minimum normalized text length for a block to be emitted
-    min_text_len: int = 1
+# a block whose link-text/text ratio exceeds this is navigation-like
+MAX_LINK_DENSITY = 0.5
+# minimum normalized text length for a block to be emitted
+MIN_TEXT_LEN = 1
 
 
 def _region_marks_boilerplate_impl(region: bytes) -> bool:
@@ -141,7 +135,7 @@ def _link_mask(doc) -> list[bool]:
     return mask
 
 
-def extract_text_blocks(doc, cfg: ExtractConfig | None = None) -> list[bytes]:
+def extract_text_blocks(doc) -> list[bytes]:
     """Main-content text blocks in document order.
 
     Algorithm:
@@ -149,15 +143,13 @@ def extract_text_blocks(doc, cfg: ExtractConfig | None = None) -> list[bytes]:
     2. walk remaining *leaf-most* block elements (block elements with no block
        descendants carrying text) in preorder;
     3. per block, compute normalized reference-semantics text and the link
-       density (normalized text length inside <a> vs total); blocks over
-       ``max_link_density`` drop;
+       density (normalized text length inside <a> vs total); blocks shorter
+       than ``MIN_TEXT_LEN`` or over ``MAX_LINK_DENSITY`` drop;
     4. emit surviving block texts in order.
 
     Text not under any block element (e.g. bare body text) attaches to the
     nearest enclosing emitted block via a catch-all document-level sweep.
     """
-    if cfg is None:
-        cfg = ExtractConfig()
     n = len(doc.kind)
     if n <= 1:
         return []
@@ -231,9 +223,9 @@ def extract_text_blocks(doc, cfg: ExtractConfig | None = None) -> list[bytes]:
             if in_link:
                 decode_normalize_segment(link_out, seg, link_state)
         total = len(out)
-        if total < cfg.min_text_len:
+        if total < MIN_TEXT_LEN:
             continue
-        if total > 0 and len(link_out) / total > cfg.max_link_density:
+        if total > 0 and len(link_out) / total > MAX_LINK_DENSITY:
             continue
         blocks.append(bytes(out))
     return blocks

@@ -17,8 +17,10 @@ Output row: ``doc_id, spans_out: list[{kind, text, media_ref, offset}]`` where
 
 Output ``offset`` renumbers 0..k-1 in document order (input order of spans,
 block order within an html span) — the per-row invariant the north rule pins.
-The batch stage (``stages/extract_stage.py``) runs the native HTML kernel and
-must equal this extractor span for span.
+The extraction is one fixed spec: ``parse_html``'s default profile (every
+text run kept, whitespace-only runs included) and ``boilerplate.py``'s
+tables and thresholds. The batch stage (``stages/extract_stage.py``) runs
+the native HTML kernel and must equal this extractor span for span.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from html_parser_ray.extract.boilerplate import ExtractConfig, extract_text_blocks
+from html_parser_ray.extract.boilerplate import extract_text_blocks
 from html_parser_ray.extract.layout import LayoutParser
 from html_parser_ray.html.document import parse_html
 from html_parser_ray.html.text import normalize_bytes
@@ -38,14 +40,12 @@ LAYOUT_MEMO_CAP = 1 << 16
 LAYOUT_DECODE_CHUNK = 1024
 
 
-def dom_blocks(
-    src: bytes, drop_ws: bool, config: ExtractConfig
-) -> "tuple[list[bytes], int]":
+def dom_blocks(src: bytes) -> "tuple[list[bytes], int]":
     """One html span through the DOM: its text blocks and its parse error
     count, ``([], 1)`` when the parser raises. The oracle's html arm and
     the batch stage's DOM kernel both extract through this."""
     try:
-        return extract_text_blocks(parse_html(src, drop_ws), config), 0
+        return extract_text_blocks(parse_html(src)), 0
     except Exception:
         return [], 1
 
@@ -74,25 +74,22 @@ class ExtractStats:
 
 
 class SpanExtractor:
-    """Stateful per-document extractor: the heuristic config, the layout
-    parser and its memo live as long as the object. In the pipeline that is
-    one run in one worker process: the extract stage that holds it is built
-    once per process per run (ref analog: §2.5 stateful stage). HTML always
-    goes through the DOM; the native kernel runs only in the batch stage,
-    which holds one of these for its config, stats and layout memo.
+    """Stateful per-document extractor: the layout parser and its memo live
+    as long as the object. In the pipeline that is one run in one worker
+    process: the extract stage that holds it is built once per process per
+    run (ref analog: §2.5 stateful stage). HTML always goes through the DOM;
+    the native kernel runs only in the batch stage, which holds one of these
+    for its stats and layout memo.
 
     ``use_fused`` does nothing: it is accepted only because the benchmark's
     oracle (``perfbench/checks.py``) still passes it."""
 
     def __init__(
         self,
-        config: ExtractConfig | None = None,
         layout_model: str = "layout-stub-v0",
-        drop_whitespace_text: bool = False,
         use_fused: bool = True,
         layout_memo: bool = True,
     ) -> None:
-        self.config = config or ExtractConfig()
         self.layout = LayoutParser(layout_model)
         # the one cross-batch layout memo: ref -> layout JSON, LRU-bounded.
         # Refs repeat across a corpus, and a hit skips the decode and the
@@ -100,7 +97,6 @@ class SpanExtractor:
         self._layout_memo: "OrderedDict[str, bytes] | None" = (
             OrderedDict() if layout_memo else None
         )
-        self.drop_whitespace_text = drop_whitespace_text
         self.stats = ExtractStats()
 
     def layout_jsons(self, refs: "list[str]") -> "list[bytes]":
@@ -174,7 +170,7 @@ class SpanExtractor:
             elif kind == "html":
                 raw = (s.get("text") or "").encode("utf-8")
                 st.html_bytes += len(raw)
-                blocks, errors = dom_blocks(raw, self.drop_whitespace_text, self.config)
+                blocks, errors = dom_blocks(raw)
                 st.parse_errors += errors
                 out.extend(("text", blk, "") for blk in blocks)
             elif kind == "media":

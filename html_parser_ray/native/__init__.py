@@ -2,10 +2,9 @@
 
 Each kernel has one entry point, called once per batch.
 ``get_native_batch_extractor()`` returns ``extract_blocks_batched(values_addr,
-offsets, total_bytes, drop_ws, max_link_density=0.5, min_text_len=1) ->
-(blocks, block_lens, doc_nblocks) | None``, one C call over a batch of
-documents laid out as an Arrow binary array (a values buffer and int64
-offsets into it). ``get_native_pdf_summary()`` returns
+offsets, total_bytes) -> (blocks, block_lens, doc_nblocks) | None``, one C
+call over a batch of documents laid out as an Arrow binary array (a values
+buffer and int64 offsets into it). ``get_native_pdf_summary()`` returns
 ``pdf_layout_batch(payloads) -> list[tuple | None]``, one C call for a list
 of PDF payloads giving per payload ``(num_pages, n_text_spans, n_rects,
 joined span text)`` or None for a payload the pure parser must take. Both
@@ -18,8 +17,10 @@ None and extraction runs on the DOM oracle path (``parse_html`` +
 on a toolchain.
 
 The HTML kernel compiles in ``extract/boilerplate.py``'s drop tables and
-class/id markers and takes ``ExtractConfig``'s two thresholds as arguments,
-so it runs every config. Byte-parity with the DOM oracle is pinned by tests/test_native_parity.py, tests/test_fused_parity.py,
+class/id markers; its wrapper passes that module's two thresholds
+(``MAX_LINK_DENSITY``, ``MIN_TEXT_LEN``) on every call, so they are set in
+one place. Byte-parity with the DOM oracle is pinned by
+tests/test_native_parity.py, tests/test_fused_parity.py,
 tests/test_tag_table_parity.py and tests/test_extraction_hypothesis.py, all
 through this one batch entry point; the PDF kernel's parity with the pure
 parser by tests/test_pdf_native_parity.py and
@@ -138,7 +139,6 @@ def _build_lib():
         ctypes.c_void_p,  # values
         ctypes.c_void_p,  # int64 offsets
         ctypes.c_int64,   # n_docs
-        ctypes.c_int,     # drop_ws
         ctypes.c_void_p,  # out
         ctypes.c_int64,   # out_cap
         ctypes.c_void_p,  # block_lens (int64*)
@@ -154,13 +154,12 @@ def _build_lib():
 def _make_batch_wrapper(bfn):
     import numpy as np
 
+    from html_parser_ray.extract.boilerplate import MAX_LINK_DENSITY, MIN_TEXT_LEN
+
     c_int64 = ctypes.c_int64
     local = threading.local()
 
-    def extract_blocks_batched(
-        values_addr, offsets_np, total_bytes, drop_ws,
-        max_link_density=0.5, min_text_len=1,
-    ):
+    def extract_blocks_batched(values_addr, offsets_np, total_bytes):
         """One C call for a whole batch of documents.
 
         ``values_addr``: address of the contiguous UTF-8 values buffer (the
@@ -192,15 +191,14 @@ def _make_batch_wrapper(bfn):
                 values_addr,
                 offsets_np.ctypes.data,
                 n_docs,
-                1 if drop_ws else 0,
                 ctypes.addressof(local.out),
                 local.out_cap,
                 local.lens.ctypes.data,
                 local.lens_cap,
                 docs.ctypes.data,
                 ctypes.byref(n_total),
-                max_link_density,
-                min_text_len,
+                MAX_LINK_DENSITY,
+                MIN_TEXT_LEN,
             )
             # capacity codes: -2 the block bytes, -3 the block lengths ran
             # out (block-dense html has up to total_bytes // 4 blocks). The

@@ -4,15 +4,16 @@
  * html_parser_ray/extract/boilerplate.py) in a single pass without a DOM:
  * permissive HTML tokenization with the open-element name stack,
  * drop/block/link watermarks, per-owner segment collection, and the
- * entity-decode + whitespace-normalize emission tail. The tag tables and the
- * class/id boilerplate markers are boilerplate.py's module constants; the
- * two scalar thresholds (max_link_density, min_text_len), all of
- * ExtractConfig, are arguments.
+ * entity-decode + whitespace-normalize emission tail. Every text run is
+ * kept, whitespace-only runs included (parse_html's default profile). The
+ * tag tables and the class/id boilerplate markers are boilerplate.py's module
+ * constants, compiled in; its two thresholds (MAX_LINK_DENSITY,
+ * MIN_TEXT_LEN) are arguments, which the ctypes wrapper
+ * (native/__init__.py) fills from that module on every call.
  *
  * ABI (ctypes), one entry point for a batch of documents:
  *   int64_t hpr_extract_blocks_batch(const uint8_t* values,
  *                              const int64_t* offsets, int64_t n_docs,
- *                              int drop_whitespace_text,
  *                              uint8_t* out, int64_t out_cap,
  *                              int64_t* block_lens, int64_t lens_cap,
  *                              int64_t* doc_nblocks, int64_t* n_blocks_total,
@@ -688,7 +689,7 @@ static void ctx_free(Ctx *c) {
 
 /* extract one document using ctx scratch; appends block lengths and bytes */
 static int64_t extract_one(Ctx *ctx, const uint8_t *s, int64_t n,
-                           int drop_ws_text, uint8_t *out, int64_t out_off,
+                           uint8_t *out, int64_t out_off,
                            int64_t out_cap, int64_t *block_lens,
                            int64_t lens_off, int64_t lens_cap,
                            int64_t *n_blocks_doc, int64_t *bytes_doc,
@@ -775,15 +776,7 @@ static int64_t extract_one(Ctx *ctx, const uint8_t *s, int64_t n,
             const uint8_t *lt = memchr(s + i, '<', (size_t)(n - i));
             i = lt ? (lt - s) : n;
             if (i == start) continue;
-            if (drop_depth == 0) {
-                if (drop_ws_text && is_ws(s[start]) && is_ws(s[i - 1])) {
-                    int allws = 1;
-                    for (int64_t t = start; t < i; t++)
-                        if (!is_ws(s[t])) { allws = 0; break; }
-                    if (allws) continue;
-                }
-                EMIT(start, i);
-            }
+            if (drop_depth == 0) EMIT(start, i);
             continue;
         }
         if (i + 1 >= n) { i++; continue; }
@@ -1007,7 +1000,7 @@ done:
  * per-block lengths into block_lens, and per-document block counts into
  * doc_nblocks. */
 int64_t hpr_extract_blocks_batch(const uint8_t *values, const int64_t *offsets,
-                                 int64_t n_docs, int drop_ws_text, uint8_t *out,
+                                 int64_t n_docs, uint8_t *out,
                                  int64_t out_cap, int64_t *block_lens,
                                  int64_t lens_cap, int64_t *doc_nblocks,
                                  int64_t *n_blocks_total,
@@ -1020,7 +1013,7 @@ int64_t hpr_extract_blocks_batch(const uint8_t *values, const int64_t *offsets,
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t nb = 0, bytes_doc = 0;
         rc = extract_one(&ctx, values + offsets[d], offsets[d + 1] - offsets[d],
-                         drop_ws_text, out, out_off, out_cap, block_lens,
+                         out, out_off, out_cap, block_lens,
                          lens_off, lens_cap, &nb, &bytes_doc,
                          max_link_density, min_text_len);
         if (rc != 0) break;

@@ -15,7 +15,7 @@ one block and a job runs at most one extract task per such file. Given
 in a ``part`` column: a resumable run tags each row with its partition so,
 and its write groups rows by that column. One streaming task transform
 with zero shuffles follows, for every corpus, which Ray Data may fuse with
-the maps next to it. The stage's load-once state (kernels, config, the
+the maps next to it. The stage's load-once state (kernels, the
 cross-batch layout memo) lives per worker process and per run: each
 ``build_extraction_pipeline`` call draws a run token, and a process keeps
 the one ``ExtractSpansBatch`` of the last run it served.
@@ -25,6 +25,7 @@ document is one long row in its batch, not a reason for an exchange.
 
 from __future__ import annotations
 
+import inspect
 import os
 from functools import partial
 from typing import Any, Sequence
@@ -261,11 +262,16 @@ def build_extraction_pipeline(
     (and lists no files once ``ds`` has a transform, so a caller that maps
     the input first passes its own ``batch_size``).
 
+    ``extractor_kwargs`` are the stage's keywords. They are bound to its
+    signature here, so an unknown one is a ``TypeError`` when the pipeline
+    is built, not in an extract task mid-job.
+
     ``split_giant_docs`` does not change the plan: giant documents extract
     in place, like any other. It is accepted only because the benchmark's
     ``giant_resumable`` job (``perfbench/job.py``) still passes it.
     """
     kwargs = dict(extractor_kwargs or {})
+    inspect.signature(ExtractSpansBatch).bind(**kwargs)
     if batch_size is None:
         batch_size = default_batch_size(ds.input_files())
 

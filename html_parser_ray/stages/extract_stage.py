@@ -1,12 +1,15 @@
 """Ray Data stages for span extraction.
 
 ``ExtractSpansBatch`` is the extract stage: ``__init__`` does the expensive
-setup (HTML kernel, heuristic tables, layout model), and the pipeline's
-extract tasks (``pipelines/extraction.py:extract_batch``) build one per
-worker process per run and reuse it for that run's batches there.
+setup (HTML kernel, layout model), and the pipeline's extract tasks
+(``pipelines/extraction.py:extract_batch``) build one per worker process per
+run and reuse it for that run's batches there.
 ``__call__`` processes one Arrow batch in one emit, and every input column
 other than ``spans`` passes through to the output unchanged. The HTML
-spans of a batch go through ONE kernel call over the Arrow values buffer.
+spans of a batch go through ONE kernel call over the Arrow values buffer,
+``(values_addr, offsets, total_bytes)``: the extraction's tables and
+thresholds are fixed (``extract/boilerplate.py``), so a call carries only
+the documents.
 The emit then gathers by span, not by byte: the kernel's blocks, the
 Arrow-normalized text spans and one layout JSON per unique media ref form
 one binary span pool, every output span is one int64 index into it, and
@@ -22,7 +25,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from html_parser_ray.extract.boilerplate import ExtractConfig
 from html_parser_ray.extract.extractor import SpanExtractor, dom_blocks
 from html_parser_ray.sources.corpus import SPAN_STRUCT
 
@@ -53,26 +55,15 @@ class ExtractSpansBatch:
     (unchanged, in input order) out. What it did is counted in
     ``self.extractor.stats`` (``ExtractStats``).
 
-    Parameters are plain values (passed in the extract task's ``fn_kwargs``)
-    so each worker process constructs its own state, once per run — nothing
-    heavy is shipped with the task.
+    ``layout_model`` names the layout model (it stands in for a checkpoint
+    path) and is written into every media span's JSON. It is a plain value,
+    passed in the extract task's ``fn_kwargs``, so each worker process
+    constructs its own state, once per run — nothing heavy is shipped with
+    the task.
     """
 
-    def __init__(
-        self,
-        max_link_density: float = 0.5,
-        min_text_len: int = 1,
-        layout_model: str = "layout-stub-v0",
-        drop_whitespace_text: bool = False,
-    ) -> None:
-        cfg = ExtractConfig(
-            max_link_density=max_link_density, min_text_len=min_text_len
-        )
-        self.extractor = SpanExtractor(
-            config=cfg,
-            layout_model=layout_model,
-            drop_whitespace_text=drop_whitespace_text,
-        )
+    def __init__(self, layout_model: str = "layout-stub-v0") -> None:
+        self.extractor = SpanExtractor(layout_model=layout_model)
         # the HTML-blocks kernel, chosen once: the native batch kernel (one C
         # call per batch over the Arrow values buffer, zero-copy in), else
         # the DOM oracle behind the same call. Parity pinned by
@@ -83,13 +74,11 @@ class ExtractSpansBatch:
         # parse errors of the last html kernel call (only the DOM path has any)
         self._call_errors = 0
 
-    def _dom_blocks(self, values_addr, offsets, total_bytes, drop_ws, *_thresholds):
+    def _dom_blocks(self, values_addr, offsets, total_bytes):
         """DOM-oracle twin of the native batch kernel: same call, same
-        ``(buffer, block_lens, doc_nblocks)`` result, under the extractor's
-        config (which holds the thresholds), each doc through the oracle's
-        own ``dom_blocks``. A doc the parser raises on has no blocks; the
-        call's error count lands in ``self._call_errors``."""
-        cfg = self.extractor.config
+        ``(buffer, block_lens, doc_nblocks)`` result, each doc through the
+        oracle's own ``dom_blocks``. A doc the parser raises on has no
+        blocks; the call's error count lands in ``self._call_errors``."""
         n_docs = len(offsets) - 1
         blocks: "list[bytes]" = []
         nblocks = np.zeros(n_docs, dtype=np.int64)
@@ -97,7 +86,7 @@ class ExtractSpansBatch:
         for d in range(n_docs):
             lo = int(offsets[d])
             src = ctypes.string_at(values_addr + lo, int(offsets[d + 1]) - lo)
-            got, err = dom_blocks(src, drop_ws, cfg)
+            got, err = dom_blocks(src)
             errors += err
             blocks.extend(got)
             nblocks[d] = len(got)
@@ -179,15 +168,7 @@ class ExtractSpansBatch:
             bufs, aoff = html_texts.buffers(), html_texts.offset
             html_offs = np.frombuffer(bufs[1], np.int32)[aoff : aoff + len(html_idx) + 1]
             html_offs = html_offs.astype(np.int64)
-            cfg = self.extractor.config
-            args = (
-                bufs[2].address,
-                html_offs,
-                int(html_offs[-1]),
-                self.extractor.drop_whitespace_text,
-                cfg.max_link_density,
-                cfg.min_text_len,
-            )
+            args = (bufs[2].address, html_offs, int(html_offs[-1]))
             self._call_errors = 0
             res = self._html_kernel(*args)
             if res is None:

@@ -340,7 +340,6 @@ def verify_sample(
     input_path: str,
     sample_docs: int = 50,
     seed: int = 7,
-    file_format: str = "parquet",
     extractor_kwargs: "dict | None" = None,
 ) -> dict:
     """Per-row invariant self-check (the north rule's span-sequence equality):
@@ -358,14 +357,11 @@ def verify_sample(
     output row's spans in one dict), and non-sampled rows never become
     Python objects (arrow-level ``is_in`` filter before ``to_pylist``).
 
-    ``file_format`` / ``extractor_kwargs`` must mirror what
-    ``run_resumable_extraction`` was called with: the check re-reads the
-    same corpus format and re-extracts under the same semantics (the r5
-    review found a defaults-only check could report false mismatches
-    against a run that used non-default extractor options).
-    ``extractor_kwargs`` are ``ExtractSpansBatch`` keywords, as the run took
-    them; the oracle takes the run's config, layout model and whitespace
-    mode from them.
+    ``input_path`` is the run's parquet input (a resumable run reads no
+    other format). ``extractor_kwargs`` are the ``ExtractSpansBatch``
+    keywords the run took (``layout_model``, which media spans carry in
+    their JSON); the oracle is built from them directly, so the check loads
+    no native kernel.
 
     Returns {checked, mismatches} — mismatches must be 0; ``checked`` <
     the sample size means docs vanished from the output.
@@ -375,7 +371,6 @@ def verify_sample(
 
     from html_parser_ray.extract.extractor import SpanExtractor
     from html_parser_ray.pipelines.extraction import read_corpus
-    from html_parser_ray.stages.extract_stage import ExtractSpansBatch
 
     def digest(doc_id) -> str:
         return hashlib.md5(f"{seed}:{doc_id}".encode()).hexdigest()
@@ -390,31 +385,24 @@ def verify_sample(
             sample_docs,
             (
                 (digest(d), d)
-                for batch in read_corpus(
-                    input_path, file_format=file_format, columns=["doc_id"]
-                ).iter_batches(batch_format="pyarrow", batch_size=8192)
+                for batch in read_corpus(input_path, columns=["doc_id"]).iter_batches(
+                    batch_format="pyarrow", batch_size=8192
+                )
                 for d in batch.column("doc_id").to_pylist()
             ),
         )
     }
     sample_arr = pa.array(sorted(sample))
 
-    # pass 2: expected spans for the sample only, from the DOM oracle under
-    # the semantics of the run's extractor (read off a stage built from the
-    # run's kwargs); only sampled rows cross into Python — every batch is
-    # filtered at the arrow level first
-    run = ExtractSpansBatch(**(extractor_kwargs or {})).extractor
-    ex = SpanExtractor(
-        config=run.config,
-        layout_model=run.layout.model_name,
-        drop_whitespace_text=run.drop_whitespace_text,
-        layout_memo=False,
-    )
+    # pass 2: expected spans for the sample only, from the DOM oracle with
+    # the run's layout model; only sampled rows cross into Python — every
+    # batch is filtered at the arrow level first
+    ex = SpanExtractor(**(extractor_kwargs or {}), layout_memo=False)
     ex.layout._native = None
     expected: dict = {}
-    for batch in read_corpus(
-        input_path, file_format=file_format, columns=["doc_id", "spans"]
-    ).iter_batches(batch_format="pyarrow", batch_size=1024):
+    for batch in read_corpus(input_path, columns=["doc_id", "spans"]).iter_batches(
+        batch_format="pyarrow", batch_size=1024
+    ):
         hits = batch.filter(pc.is_in(batch.column("doc_id"), sample_arr))
         for row in hits.to_pylist():
             expected[row["doc_id"]] = ex.extract_document(row["spans"])

@@ -23,12 +23,7 @@ needs_kernel = pytest.mark.skipif(
 )
 
 
-def native_batch(
-    srcs: "list[bytes]",
-    drop_ws: bool = False,
-    max_link_density: float = 0.5,
-    min_text_len: int = 1,
-) -> "list[list[bytes]]":
+def native_batch(srcs: "list[bytes]") -> "list[list[bytes]]":
     """Each document's blocks from ONE kernel call over ``srcs``, split by
     the kernel's per-document block counts."""
     if KERNEL is None:
@@ -36,14 +31,7 @@ def native_batch(
     arr = pa.array(srcs, type=pa.binary())
     bufs = arr.buffers()
     offsets = np.frombuffer(bufs[1], np.int32)[: len(srcs) + 1].astype(np.int64)
-    res = KERNEL(
-        bufs[2].address,
-        offsets,
-        int(offsets[-1]),
-        drop_ws,
-        max_link_density,
-        min_text_len,
-    )
+    res = KERNEL(bufs[2].address, offsets, int(offsets[-1]))
     assert res is not None, f"native kernel declined a {len(srcs)}-doc batch"
     out, block_lens, doc_nblocks = res
     ends = np.cumsum(block_lens).tolist()
@@ -53,11 +41,6 @@ def native_batch(
     return [blocks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def native_blocks(
-    src: bytes,
-    drop_ws: bool = False,
-    max_link_density: float = 0.5,
-    min_text_len: int = 1,
-) -> "list[bytes]":
+def native_blocks(src: bytes) -> "list[bytes]":
     """``src``'s blocks from a one-document batch."""
-    return native_batch([src], drop_ws, max_link_density, min_text_len)[0]
+    return native_batch([src])[0]

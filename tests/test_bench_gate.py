@@ -98,7 +98,7 @@ def test_calibration_probe_holds_pin_floor():
     docs = pa.array(_calibration_docs(), type=pa.binary())
     bufs = docs.buffers()
     offsets = np.frombuffer(bufs[1], np.int32)[: len(docs) + 1].astype(np.int64)
-    args = (bufs[2].address, offsets, int(offsets[-1]), False)
+    args = (bufs[2].address, offsets, int(offsets[-1]))
     assert fn(*args) is not None  # warm (thread-local scratch growth, icache)
     t0 = time.perf_counter()
     n = 0

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from html_parser_ray import parse_html
 from html_parser_ray.extract.boilerplate import (
     BLOCK_TAGS,
-    ExtractConfig,
     LINK_TAG,
+    MAX_LINK_DENSITY,
+    MIN_TEXT_LEN,
     _link_mask,
     compute_drop_mask,
     extract_text_blocks,
@@ -18,7 +19,7 @@ from html_parser_ray.html.text import NormState, decode_normalize_segment
 from html_parser_ray.html.tokenizer import KIND_ELEMENT, KIND_TEXT
 
 
-def unfused_extract(doc, cfg: ExtractConfig) -> list[bytes]:
+def unfused_extract(doc) -> list[bytes]:
     """Slow reference implementation: independent masks + parent walks."""
     n = len(doc.kind)
     if n <= 1:
@@ -49,9 +50,9 @@ def unfused_extract(doc, cfg: ExtractConfig) -> list[bytes]:
             decode_normalize_segment(out, seg, st_)
             if link[t]:
                 decode_normalize_segment(lout, seg, lst)
-        if len(out) < cfg.min_text_len:
+        if len(out) < MIN_TEXT_LEN:
             continue
-        if len(out) > 0 and len(lout) / len(out) > cfg.max_link_density:
+        if len(out) > 0 and len(lout) / len(out) > MAX_LINK_DENSITY:
             continue
         blocks.append(bytes(out))
     return blocks
@@ -69,8 +70,7 @@ _soup = st.text(
 @given(_soup)
 def test_fused_equals_unfused_fuzz(s):
     doc = parse_html(s)
-    cfg = ExtractConfig()
-    assert extract_text_blocks(doc, cfg) == unfused_extract(doc, cfg)
+    assert extract_text_blocks(doc) == unfused_extract(doc)
 
 
 def test_fused_equals_unfused_structured():
@@ -83,7 +83,6 @@ def test_fused_equals_unfused_structured():
         "<ul><li>a<li>b<li><a href='u'>c</a></ul>",
         "<article><p>x<svg><rect/></svg>y</p></article>",
     ]
-    cfg = ExtractConfig()
     for s in cases:
         doc = parse_html(s)
-        assert extract_text_blocks(doc, cfg) == unfused_extract(doc, cfg), s
+        assert extract_text_blocks(doc) == unfused_extract(doc), s

@@ -80,30 +80,11 @@ def test_verify_sample_invariant(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_verify_sample_with_non_default_thresholds(tmp_path):
-    """``extractor_kwargs`` are the stage's keywords, as the run took them:
-    a run under non-default thresholds verifies clean under the same
-    kwargs, and the defaults see the difference."""
-    from html_parser_ray.state.checkpoint import verify_sample
-
-    inp = str(tmp_path / "corpus")
-    out = str(tmp_path / "out")
-    write_corpus_parquet(inp, 30, seed=42, rows_per_file=15)
-    kw = {"min_text_len": 5, "max_link_density": 0.1}
-    run_resumable_extraction(
-        inp, out, num_partitions=2, wave_size=2, batch_size=8, extractor_kwargs=kw
-    )
-    res = verify_sample(out, inp, sample_docs=20, extractor_kwargs=kw)
-    assert res == {"checked": 20, "mismatches": 0}
-    assert verify_sample(out, inp, sample_docs=20)["mismatches"] > 0
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_verify_sample_checks_against_the_dom_oracle(tmp_path, monkeypatch):
-    """The check re-extracts with the DOM oracle, not with the run's native
-    kernel: with the batch kernel replaced, after the run, by one that drops
-    every block, the stage ``verify_sample`` builds for the run's config
-    holds the broken kernel and a correct run still verifies clean."""
+    """The check re-extracts with the DOM oracle and never loads the run's
+    native kernel: with the batch kernel replaced, after the run, by one
+    that drops every block (which a stage built now would hold), or its
+    getter by one that raises, a correct run still verifies clean."""
     import numpy as np
 
     import html_parser_ray.native as native_mod
@@ -123,6 +104,12 @@ def test_verify_sample_checks_against_the_dom_oracle(tmp_path, monkeypatch):
         native_mod, "get_native_batch_extractor", lambda: drop_every_block
     )
     assert ExtractSpansBatch()._html_kernel is drop_every_block
+    assert verify_sample(out, inp, sample_docs=20) == {"checked": 20, "mismatches": 0}
+
+    def no_kernel():
+        raise RuntimeError("the check loaded the native HTML kernel")
+
+    monkeypatch.setattr(native_mod, "get_native_batch_extractor", no_kernel)
     assert verify_sample(out, inp, sample_docs=20) == {"checked": 20, "mismatches": 0}
 
 

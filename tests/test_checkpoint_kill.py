@@ -4,8 +4,13 @@ The resumable driver runs in a child Python process with its own Ray
 session. A monkeypatch inside the child SIGKILLs it at a seeded point:
 
 - ``data``: on the driver's receipt of the ``at``-th written data file,
-  or at its first commit if that comes first (so after the first data file
-  lands and before any commit);
+  before it yields the batch that holds it. The driver reads its write rows
+  from ``ray.data.Dataset.iter_batches``, one row per written file. Every
+  partition here holds at least 3 input files, each written as one or more
+  data files, so an ``at`` of 2 or 3 comes before any partition's rows are
+  all received: the kill leaves data files on disk and no manifest. A
+  marker file records that the kill came from this hook and how many data
+  files were on disk at that moment;
 - ``commit``: on entry to the ``at``-th commit of a non-empty partition,
   after its rows are complete and before its manifest is written;
 - ``rename``: between the ``at``-th manifest's tmp write and its
@@ -42,7 +47,7 @@ from html_parser_ray.state.checkpoint import (
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CHILD = r"""
-import json, os, signal, sys
+import glob, json, os, signal, sys
 
 cfg = json.loads(sys.argv[1])
 sys.path.insert(0, cfg["repo"])
@@ -61,18 +66,19 @@ def hit():
 
 
 if point == "data":
-    iter_rows = ray.data.Dataset.iter_rows
+    iter_batches = ray.data.Dataset.iter_batches
 
-    def killing_iter_rows(self, *a, **k):
-        for row in iter_rows(self, *a, **k):
-            hit()
-            yield row
+    def killing_iter_batches(self, *a, **k):
+        for batch in iter_batches(self, *a, **k):
+            seen[0] += batch.num_rows
+            if seen[0] >= at:
+                files = glob.glob(os.path.join(cfg["out"], "_part=*", "*.parquet"))
+                with open(cfg["out"] + ".kill.json", "w") as f:
+                    json.dump({"received": seen[0], "files": len(files)}, f)
+                os.kill(os.getpid(), signal.SIGKILL)
+            yield batch
 
-    def no_commit(*a):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    ray.data.Dataset.iter_rows = killing_iter_rows
-    checkpoint._commit_manifest = no_commit
+    ray.data.Dataset.iter_batches = killing_iter_batches
 elif point == "commit":
     commit = checkpoint._commit_manifest
 
@@ -118,32 +124,34 @@ def _group_alive(pgid: int) -> bool:
     return False
 
 
-def _shape(point: str, seed: int) -> dict:
+def _shape(point: str, seed: int, stream: str = "") -> dict:
     """A seeded corpus and plan, and a kill point ``at`` that the run is
-    sure to reach."""
-    rng = random.Random(f"{point}:{seed}")
+    sure to reach. At ``data``: 6 to 9 ten-row files cut into partitions of
+    at least 3 files each, and a kill at the 2nd or 3rd written file. A
+    ``stream`` suffix draws another set of shapes from the same rule."""
+    rng = random.Random(f"{point}{stream}:{seed}")
+    if point == "data":
+        n = rng.randint(60, 90)
+        files = -(-n // 10)
+        return {"n": n, "rows_per_file": 10, "parts": rng.randint(2, files // 3),
+                "batch": rng.choice([4, 8]), "at": rng.randint(2, 3)}
     n = rng.randint(40, 90)
     rows_per_file = rng.choice([10, 15, 20])
     batch = rng.choice([4, 8])
     files = -(-n // rows_per_file)
-    if point == "data":
-        # no empty partition: it would commit before any data lands
-        parts = rng.randint(2, files)
-        at = rng.randint(1, 3)
-    else:
-        parts = rng.randint(2, 6)
-        nonempty = min(files, parts)
-        at = rng.randint(1, nonempty if point == "commit" else parts)
+    parts = rng.randint(2, 6)
+    nonempty = min(files, parts)
+    at = rng.randint(1, nonempty if point == "commit" else parts)
     return {"n": n, "rows_per_file": rows_per_file, "parts": parts, "batch": batch,
             "at": at}
 
 
-def kill_and_resume(tmp_path, point: str, seed: int) -> dict:
+def kill_and_resume(tmp_path, point: str, seed: int, stream: str = "") -> dict:
     """Run the driver in a child killed at (``point``, seed), check the
     state the kill left, resume into the same root, check exactly-once
     oracle-equal output. Returns the shape, the rows the resume redid and
     its wall time."""
-    shape = _shape(point, seed)
+    shape = _shape(point, seed, stream)
     inp, out = str(tmp_path / "corpus"), str(tmp_path / "out")
     write_corpus_parquet(
         inp, shape["n"], seed=seed, rows_per_file=shape["rows_per_file"]
@@ -173,6 +181,11 @@ def kill_and_resume(tmp_path, point: str, seed: int) -> dict:
     data_files = glob.glob(os.path.join(out, "_part=*", "*.parquet"))
     if point == "data":
         assert data_files and not done, shape
+        # the hook killed the child, with the received data files on disk
+        with open(out + ".kill.json") as f:
+            marker = json.load(f)
+        assert marker["received"] >= shape["at"], (marker, shape)
+        assert marker["files"] >= marker["received"], (marker, shape)
     elif point == "commit":
         assert len(done) < shape["parts"], shape
     else:

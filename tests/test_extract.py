@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 from html_parser_ray import parse_html
-from html_parser_ray.extract.boilerplate import ExtractConfig, extract_text_blocks
+from html_parser_ray.extract.boilerplate import extract_text_blocks
 from html_parser_ray.extract.extractor import SpanExtractor
 from html_parser_ray.extract.layout import LayoutParser
 
 
-def blocks(html: str, **cfg) -> list[str]:
-    doc = parse_html(html)
-    out = extract_text_blocks(doc, ExtractConfig(**cfg) if cfg else None)
-    return [b.decode() for b in out]
+def blocks(html: str) -> list[str]:
+    return [b.decode() for b in extract_text_blocks(parse_html(html))]
 
 
 def test_basic_article_extraction():

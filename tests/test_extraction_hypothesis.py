@@ -15,10 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _native_kernel import native_batch, native_blocks, needs_kernel
-from html_parser_ray.extract.boilerplate import ExtractConfig, extract_text_blocks
+from html_parser_ray.extract.boilerplate import extract_text_blocks
 from html_parser_ray.html.document import parse_html
 
-_CFG = ExtractConfig()
 pytestmark = needs_kernel
 
 _FRAGMENTS = st.sampled_from(
@@ -49,7 +48,7 @@ _BLOB = st.one_of(
 @settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
 @given(_BLOB)
 def test_three_way_parity(data: bytes):
-    dom = extract_text_blocks(parse_html(data), _CFG)
+    dom = extract_text_blocks(parse_html(data))
     assert native_blocks(data) == dom, data
 
 
@@ -59,7 +58,7 @@ def test_multi_document_batch_parity(docs: "list[bytes]"):
     """One kernel call over 1-8 blobs: each document's blocks, split by the
     kernel's per-document counts, equal its own DOM blocks (scratch reused
     across documents, blocks written at running offsets)."""
-    dom = [extract_text_blocks(parse_html(d), _CFG) for d in docs]
+    dom = [extract_text_blocks(parse_html(d)) for d in docs]
     assert native_batch(docs) == dom, docs
 
 
@@ -79,13 +78,4 @@ def test_atomic_name_parity_regressions():
         b"<a b=\"x\" c='y>",
     ]
     for data in cases:
-        for dw in (False, True):
-            dom = extract_text_blocks(parse_html(data, dw), _CFG)
-            assert native_blocks(data, dw) == dom, (data, dw)
-
-
-@settings(max_examples=150, deadline=None, suppress_health_check=list(HealthCheck))
-@given(_BLOB)
-def test_three_way_parity_drop_whitespace(data: bytes):
-    dom = extract_text_blocks(parse_html(data, True), _CFG)
-    assert native_blocks(data, True) == dom, data
+        assert native_blocks(data) == extract_text_blocks(parse_html(data)), data

@@ -2,9 +2,10 @@
 
 The DOM path (parse_html -> extract_text_blocks) is the oracle; the native
 kernel, called through its one batch entry point (``tests/_native_kernel.py``),
-is the hot-path twin for every config (``ExtractConfig`` is its two scalar
-thresholds). Any divergence on any corpus family, edge-case fixture, or
-config variant is a bug in the kernel's state machine.
+is the hot-path twin. Any divergence on any corpus family or edge-case
+fixture is a bug in the kernel's state machine. The threshold boundaries
+(``MAX_LINK_DENSITY``, ``MIN_TEXT_LEN``) and the keeping of whitespace-only
+text runs are pinned to exact outputs on both.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 import pytest
 
 from _native_kernel import native_blocks
-from html_parser_ray.extract.boilerplate import ExtractConfig, extract_text_blocks
+from html_parser_ray.extract.boilerplate import extract_text_blocks
 from html_parser_ray.html.document import parse_html
 from html_parser_ray.sources import corpus as corpus_mod
 
@@ -63,58 +64,59 @@ EDGE_CASES = [
     b"<div class='" + b"x" * 4200 + b"'>kept-long-class</div>",
 ]
 
-CONFIGS = [
-    ExtractConfig(),
-    ExtractConfig(max_link_density=0.0),
-    ExtractConfig(max_link_density=0.1),
-    ExtractConfig(max_link_density=1.0),
-    ExtractConfig(min_text_len=0),
-    ExtractConfig(min_text_len=5),
-]
 
-
-def _dom_blocks(src: bytes, cfg, drop_ws=False):
-    return extract_text_blocks(parse_html(src, drop_ws), cfg)
-
-
-def _native_blocks(src: bytes, cfg, drop_ws=False):
-    return native_blocks(src, drop_ws, cfg.max_link_density, cfg.min_text_len)
+def _dom_blocks(src: bytes) -> "list[bytes]":
+    return extract_text_blocks(parse_html(src))
 
 
 @pytest.mark.parametrize("case_idx", range(len(EDGE_CASES)))
 def test_edge_case_parity(case_idx):
     src = EDGE_CASES[case_idx]
-    for cfg in CONFIGS:
-        assert _native_blocks(src, cfg) == _dom_blocks(src, cfg), (
-            case_idx,
-            cfg,
-        )
+    assert native_blocks(src) == _dom_blocks(src), case_idx
+
+
+# (html, its exact blocks). At the edges of the two thresholds: a block is
+# kept when its link text is at most MAX_LINK_DENSITY of its text and it is
+# at least MIN_TEXT_LEN bytes long.
+EXACT_CASES = [
+    # link density exactly 0.5 (2/4) is kept
+    (b"<p><a href=x>ab</a>cd</p>", [b"abcd"]),
+    # 50/99 is dropped, 49/100 kept
+    (b"<p><a href=x>" + b"l" * 50 + b"</a>" + b"t" * 49 + b"</p><p>z</p>", [b"z"]),
+    (
+        b"<p><a href=x>" + b"l" * 49 + b"</a>" + b"t" * 51 + b"</p>",
+        [b"l" * 49 + b"t" * 51],
+    ),
+    # a block that normalizes to nothing is dropped, a 1-byte block kept
+    (b"<p> \n\t </p><p>x</p>", [b"x"]),
+    # a block all of whose text is link text is dropped
+    (b"<p><a href=x>nav</a></p><p>body</p>", [b"body"]),
+    # a whitespace-only run between inline elements is text
+    (b"<p><b>a</b> <i>b</i></p>", [b"a b"]),
+]
+
+
+@pytest.mark.parametrize("case_idx", range(len(EXACT_CASES)))
+def test_exact_blocks(case_idx):
+    src, want = EXACT_CASES[case_idx]
+    assert _dom_blocks(src) == want
+    assert native_blocks(src) == want
 
 
 @pytest.mark.parametrize("fam_idx", range(len(corpus_mod._HTML_FAMILIES)))
 def test_corpus_family_parity(fam_idx):
     fam = corpus_mod._HTML_FAMILIES[fam_idx]
-    cfg = ExtractConfig()
     for seed in range(40):
         rng = random.Random((fam_idx << 16) ^ seed)
         src = fam(rng).encode("utf-8")
-        assert _native_blocks(src, cfg) == _dom_blocks(src, cfg), (
+        assert native_blocks(src) == _dom_blocks(src), (
             fam_idx,
             seed,
         )
 
 
-def test_drop_whitespace_parity():
-    for src in EDGE_CASES:
-        cfg = ExtractConfig()
-        assert _native_blocks(src, cfg, drop_ws=True) == (
-            _dom_blocks(src, cfg, drop_ws=True)
-        ), src
-
-
 def test_random_soup_parity():
     """Fuzz: random tag soup must never diverge."""
-    cfg = ExtractConfig()
     pieces = [
         "<div>", "</div>", "<p>", "</p>", "<li>", "</ul>", "<ul>", "<span>",
         "</span>", "<a href='x'>", "</a>", "text ", "&amp; ", "  ", "<br>",
@@ -127,4 +129,4 @@ def test_random_soup_parity():
         src = "".join(
             rng.choice(pieces) for _ in range(rng.randint(1, 60))
         ).encode("utf-8")
-        assert _native_blocks(src, cfg) == _dom_blocks(src, cfg), (seed, src)
+        assert native_blocks(src) == _dom_blocks(src), (seed, src)

@@ -1,8 +1,7 @@
 """Native (C) extractor must be byte-identical to the DOM oracle
 (``extract_text_blocks(parse_html(...))``), per document, per multi-document
-batch and through the batch stage, for the default config and for every
-scalar-threshold variant. The kernel is called through its one batch entry
-point (``tests/_native_kernel.py``).
+batch and through the batch stage. The kernel is called through its one
+batch entry point (``tests/_native_kernel.py``).
 
 Skips when the native path is unavailable (no system compiler) — the engine
 then runs the DOM path everywhere, covered by the other suites.
@@ -17,7 +16,7 @@ import pyarrow as pa
 import pytest
 
 from _native_kernel import native_batch, native_blocks, needs_kernel
-from html_parser_ray.extract.boilerplate import ExtractConfig, extract_text_blocks
+from html_parser_ray.extract.boilerplate import extract_text_blocks
 from html_parser_ray.extract.extractor import SpanExtractor
 from html_parser_ray.html.document import parse_html
 from html_parser_ray.sources import corpus as corpus_mod
@@ -27,23 +26,14 @@ from tests.test_fused_parity import EDGE_CASES
 
 pytestmark = needs_kernel
 
-# scalar-threshold variants the native kernel takes as arguments
-SCALAR_CONFIGS = [
-    ExtractConfig(max_link_density=0.0),
-    ExtractConfig(max_link_density=0.1),
-    ExtractConfig(max_link_density=1.0),
-    ExtractConfig(min_text_len=0),
-    ExtractConfig(min_text_len=5),
-]
-
 PATHOLOGICAL = [
     b"", b"<", b"&", b"\x00" * 64, b"<" * 500, b"&" * 500, b">" * 100,
     b"<p>" + b"&amp;" * 2000 + b"</p>", bytes(range(256)) * 4,
 ]
 
 
-def dom(src: bytes, drop_ws: bool = False, cfg: ExtractConfig = ExtractConfig()):
-    return extract_text_blocks(parse_html(src, drop_ws), cfg)
+def dom(src: bytes) -> "list[bytes]":
+    return extract_text_blocks(parse_html(src))
 
 
 def _corpus_sources(per_family: int = 40) -> "list[bytes]":
@@ -84,16 +74,11 @@ def test_edge_and_pathological_inputs_as_one_batch():
     byte value, 4,200-byte class names) in ONE kernel call, forward and
     reversed: the kernel reuses its scratch across documents and writes at
     running offsets, and each document's blocks must still equal its DOM
-    blocks, under the default config, each scalar variant and drop_ws."""
+    blocks."""
     srcs = list(EDGE_CASES) + PATHOLOGICAL
-    for cfg in [ExtractConfig(), *SCALAR_CONFIGS]:
-        for drop_ws in (False, True):
-            want = [dom(src, drop_ws, cfg) for src in srcs]
-            for order in (1, -1):
-                got = native_batch(
-                    srcs[::order], drop_ws, cfg.max_link_density, cfg.min_text_len
-                )
-                assert got == want[::order], (cfg, drop_ws, order)
+    want = [dom(src) for src in srcs]
+    for order in (1, -1):
+        assert native_batch(srcs[::order]) == want[::order], order
 
 
 def _html_table(sources: "list[bytes]") -> pa.Table:
@@ -112,8 +97,8 @@ def _html_table(sources: "list[bytes]") -> pa.Table:
     )
 
 
-def _oracle_rows(table: pa.Table, cfg: ExtractConfig) -> "list[list[dict]]":
-    ex = SpanExtractor(config=cfg, layout_memo=False)
+def _oracle_rows(table: pa.Table) -> "list[list[dict]]":
+    ex = SpanExtractor(layout_memo=False)
     ex.layout._native = None
     return [ex.extract_document(r) for r in table.column("spans").to_pylist()]
 
@@ -208,41 +193,32 @@ def _shapes() -> "list[pa.Table]":
 
 
 def test_scalar_config_variants_extractor_and_stage():
-    """The default and each scalar-threshold variant, with the native
-    kernel active, equal the DOM oracle per document (a one-document kernel
-    call) and per batch (ExtractSpansBatch) over the edge cases and the
-    corpus families. Per batch, the batch shapes of ``_shape_batches`` are
-    also fed whole, as a slice at a nonzero offset and as a two-chunk table,
-    to the native kernel and to the DOM adapter."""
+    """With the native kernel active, the extraction equals the DOM oracle
+    per document (a one-document kernel call) and per batch
+    (ExtractSpansBatch) over the edge cases and the corpus families. Per
+    batch, the batch shapes of ``_shape_batches`` are also fed whole, as a
+    slice at a nonzero offset and as a two-chunk table, to the native
+    kernel and to the DOM twin."""
     sources = list(EDGE_CASES) + _corpus_sources(per_family=10)
-    shapes = _shapes()
-    for cfg in [ExtractConfig(), *SCALAR_CONFIGS]:
-        for src in sources:
-            got = native_blocks(src, False, cfg.max_link_density, cfg.min_text_len)
-            assert got == dom(src, cfg=cfg), (cfg, src[:80])
-        # the stage decodes html as UTF-8 text, so compare on decoded input
-        table = _html_table(sources)
-        expected = _oracle_rows(table, cfg)
-        stage = ExtractSpansBatch(
-            max_link_density=cfg.max_link_density, min_text_len=cfg.min_text_len
-        )
-        assert getattr(stage._html_kernel, "__self__", None) is not stage
-        got = stage(table).column("spans_out").to_pylist()
-        assert got == expected, cfg
-        assert stage.extractor.stats.native_fallbacks == 0
-        dom_stage = ExtractSpansBatch(
-            max_link_density=cfg.max_link_density, min_text_len=cfg.min_text_len
-        )
-        dom_stage._html_kernel = dom_stage._dom_blocks
-        for k, shape in enumerate(shapes):
-            want = _oracle_rows(shape, cfg)
-            for st in (stage, dom_stage):
-                out = st(shape)
-                assert out.column_names == ["doc_id", "spans_out", "n"]
-                assert out.column("doc_id").equals(shape.column("doc_id"))
-                assert out.column("n").equals(shape.column("n"))
-                assert out.column("spans_out").to_pylist() == want, (cfg, k)
-        assert stage.extractor.stats.native_fallbacks == 0
+    for src in sources:
+        assert native_blocks(src) == dom(src), src[:80]
+    # the stage decodes html as UTF-8 text, so compare on decoded input
+    table = _html_table(sources)
+    stage = ExtractSpansBatch()
+    assert getattr(stage._html_kernel, "__self__", None) is not stage
+    assert stage(table).column("spans_out").to_pylist() == _oracle_rows(table)
+    assert stage.extractor.stats.native_fallbacks == 0
+    dom_stage = ExtractSpansBatch()
+    dom_stage._html_kernel = dom_stage._dom_blocks
+    for k, shape in enumerate(_shapes()):
+        want = _oracle_rows(shape)
+        for st in (stage, dom_stage):
+            out = st(shape)
+            assert out.column_names == ["doc_id", "spans_out", "n"]
+            assert out.column("doc_id").equals(shape.column("doc_id"))
+            assert out.column("n").equals(shape.column("n"))
+            assert out.column("spans_out").to_pylist() == want, k
+    assert stage.extractor.stats.native_fallbacks == 0
 
 
 def test_stage_passes_other_columns_through():
@@ -263,7 +239,7 @@ def test_stage_passes_other_columns_through():
         t = shape.select(["n", "doc_id", "spans"]).append_column(
             "tag", pa.array([f"t{i}" for i in range(shape.num_rows)])
         )
-        want = _oracle_rows(t, ExtractConfig())
+        want = _oracle_rows(t)
         for emit in (real, capacity):
             stage._emit = emit
             out = stage(t)
@@ -320,11 +296,11 @@ def test_kernel_scratch_grows_for_a_block_dense_batch_after_a_text_batch():
     stage._html_kernel = native._make_batch_wrapper(native._build_lib())
     text = _html_table([b"word " * 40000])
     dense = _html_table([b"<p>a" * 60000])
-    assert stage(text).column("spans_out").to_pylist() == _oracle_rows(text, ExtractConfig())
+    assert stage(text).column("spans_out").to_pylist() == _oracle_rows(text)
     out = stage(dense).column("spans_out").to_pylist()
     assert stage.extractor.stats.native_fallbacks == 0
     assert len(out[0]) == 60001  # the lead text span and 60,000 blocks
-    assert out == _oracle_rows(dense, ExtractConfig())
+    assert out == _oracle_rows(dense)
 
 
 def test_batch_stage_counts_native_fallbacks():
@@ -335,7 +311,7 @@ def test_batch_stage_counts_native_fallbacks():
     normal_stage = ExtractSpansBatch()
     normal = normal_stage(table)
     assert normal_stage.extractor.stats.native_fallbacks == 0
-    assert normal.column("spans_out").to_pylist() == _oracle_rows(table, ExtractConfig())
+    assert normal.column("spans_out").to_pylist() == _oracle_rows(table)
 
     # size overflow on any batch with more than one html doc: halving
     # reaches one-doc batches, which the real kernel extracts

@@ -246,6 +246,25 @@ def test_ray_pipeline_write_parquet(tmp_path):
     assert {r["doc_id"] for r in back} == {f"doc-{i:08d}" for i in range(10)}
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_unknown_extractor_kwarg_refused_at_build(tmp_path):
+    """The stage's keywords are bound when the pipeline is built: a
+    threshold keyword the stage no longer takes, or a misspelled one, is a
+    ``TypeError`` there, not in an extract task mid-job. The one keyword
+    it takes, ``layout_model``, reaches every media span's JSON."""
+    import ray.data
+
+    ds = ray.data.from_arrow(generate_documents(6, seed=42))
+    for bad in ({"max_link_density": 0.1}, {"layout_modle": "m"}):
+        with pytest.raises(TypeError, match=next(iter(bad))):
+            build_extraction_pipeline(ds, batch_size=4, extractor_kwargs=bad)
+    rows = build_extraction_pipeline(
+        ds, batch_size=4, extractor_kwargs={"layout_model": "layout-test-v9"}
+    ).take_all()
+    media = [s["text"] for r in rows for s in r["spans_out"] if s["kind"] == "media"]
+    assert media and all('"layout-test-v9"' in t for t in media)
+
+
 def _read_table(ds) -> pa.Table:
     """Every block of ``ds``, in the order its read delivered them."""
     import ray

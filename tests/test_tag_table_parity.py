@@ -21,13 +21,11 @@ from html_parser_ray.extract.boilerplate import (
     DROP_CLASS_SUBSTRINGS,
     DROP_CLASS_TOKENS,
     DROP_TAGS,
-    ExtractConfig,
     extract_text_blocks,
 )
 from html_parser_ray.html import tags
 from html_parser_ray.html.document import parse_html
 
-_CFG = ExtractConfig()
 pytestmark = needs_kernel
 
 ALL_TAGS = sorted(
@@ -55,15 +53,16 @@ def test_every_classified_tag_parity(tag):
     for tmpl in TEMPLATES:
         n = tmpl.count(b"%s")
         src = tmpl % ((tag,) * n)
-        dom = extract_text_blocks(parse_html(src), _CFG)
+        dom = extract_text_blocks(parse_html(src))
         assert native_blocks(src) == dom, (tag, tmpl)
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: t.decode())
 def test_every_classified_tag_parity_drop_ws(tag):
+    """Each tag between whitespace-only text runs, which the extraction
+    keeps: the kernel emits them into the same blocks as the DOM."""
     src = b"<div>\n  <%s>\n  x\n  </%s>\n</div>" % (tag, tag)
-    dom = extract_text_blocks(parse_html(src, True), _CFG)
-    assert native_blocks(src, True) == dom, tag
+    assert native_blocks(src) == extract_text_blocks(parse_html(src)), tag
 
 
 MARKER_TEMPLATES = [
@@ -86,5 +85,5 @@ def test_every_class_marker_parity(marker):
     for tmpl in MARKER_TEMPLATES:
         for m in (marker, marker.upper()):
             src = tmpl % m
-            dom = extract_text_blocks(parse_html(src), _CFG)
+            dom = extract_text_blocks(parse_html(src))
             assert native_blocks(src) == dom, (marker, tmpl, m)

@@ -43,7 +43,9 @@ SF001 = "/root/testdata/sf0.01"
 
 def gen_extract_corpus(n: int) -> pa.Table:
     """Serial (no-Ray) flattened extraction of the seeded corpus by the DOM
-    oracle, the configuration ``verify_sample`` checks against."""
+    oracle, as ``verify_sample`` builds it: ``SpanExtractor(layout_memo=False)``
+    with ``layout._native = None`` (the extraction has one fixed spec, so
+    only the layout model could differ, and the goldens use the default)."""
     from html_parser_ray.extract.extractor import SpanExtractor
     from html_parser_ray.sources.corpus import generate_documents
 
