@@ -1,6 +1,9 @@
 """Optional native (C) kernels: HTML text-block extraction and PDF summary.
 
-Each kernel has one entry point, called once per batch.
+Each kernel has one entry point, called once per batch. Both calls release
+the GIL while in C. The extract stage calls the HTML kernel from its
+process's one kernel thread (``stages/extract_stage.py``), so that
+kernel's thread-local scratch is one set per process, on that thread.
 ``get_native_batch_extractor()`` returns ``extract_blocks_batched(values_addr,
 offsets, total_bytes) -> (blocks, block_lens, doc_nblocks) | None``, one C
 call over a batch of documents laid out as an Arrow binary array (a values
@@ -168,7 +171,10 @@ def _make_batch_wrapper(bfn):
         (out_memoryview, block_lens_np, doc_nblocks_np) or None on error
         (the caller extracts the batch on the DOM path). The scratch is
         thread-local and grow-only; a capacity code grows it and retries,
-        so no batch is declined for what an earlier batch left behind."""
+        so no batch is declined for what an earlier batch left behind. The
+        returned memoryview is that scratch: it holds until the calling
+        thread's next call (the extract stage copies the blocks out on its
+        kernel thread, in the work item that made the call)."""
         n_docs = len(offsets_np) - 1
         # first guesses; a batch past either takes the grow-and-retry below
         out_cap = int(total_bytes) + 16
@@ -222,7 +228,8 @@ def _make_batch_wrapper(bfn):
 
 def get_native_batch_extractor():
     """Compiled batched extractor callable (``extract_blocks_batched``
-    above) or None (thread-safe, cached)."""
+    above) or None (thread-safe, cached). Any thread may call it; each
+    calling thread grows its own scratch."""
     global _cached, _bfn
     if _cached:
         return _bfn

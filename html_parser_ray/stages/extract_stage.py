@@ -9,7 +9,11 @@ other than ``spans`` passes through to the output unchanged. The HTML
 spans of a batch go through ONE kernel call over the Arrow values buffer,
 ``(values_addr, offsets, total_bytes)``: the extraction's tables and
 thresholds are fixed (``extract/boilerplate.py``), so a call carries only
-the documents.
+the documents. The native call releases the GIL, so it runs on the
+process's one kernel thread (``KERNEL_THREAD``, started on first use and
+shared by every stage in the process) while the caller normalizes the
+batch's text spans and runs its media branch (memo probe, fetch, PDF
+decode); the caller then takes the kernel's result.
 The emit then gathers by span, not by byte: the kernel's blocks, the
 Arrow-normalized text spans and one layout JSON per unique media ref form
 one binary span pool, every output span is one int64 index into it, and
@@ -20,6 +24,7 @@ one ``pc.take`` builds the output text (the same index gives ``kind`` and
 from __future__ import annotations
 
 import ctypes
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pyarrow as pa
@@ -32,6 +37,26 @@ SPANS_TYPE = pa.list_(SPAN_STRUCT)
 
 # largest byte offset an Arrow string/list array (int32 offsets) can hold
 INT32_OFFSET_MAX = (1 << 31) - 1
+
+
+# this process's kernel thread: the executor starts its one thread at the
+# first submit and every stage in the process shares it, so the native
+# kernel's thread-local scratch is one set per process, and its calls run
+# one at a time
+KERNEL_THREAD = ThreadPoolExecutor(max_workers=1, thread_name_prefix="html-kernel")
+
+
+def _run_kernel(kernel, values: pa.Array, args: tuple):
+    """``kernel(*args)`` with its blocks copied out of the kernel's scratch
+    (which the next call reuses, whichever stage submits it), or None if
+    the kernel declines. ``values`` is the array whose buffer ``args``
+    points into: the work item holds it until the call ends, so a caller
+    that raises meanwhile cannot free the bytes under the kernel."""
+    res = kernel(*args)
+    if res is None:
+        return None
+    blocks, block_lens, doc_nblocks = res
+    return bytes(blocks[: int(block_lens.sum())]), block_lens, doc_nblocks
 
 
 def _text_bytes(spans: "pa.Array | pa.ChunkedArray") -> int:
@@ -124,10 +149,14 @@ class ExtractSpansBatch:
         unique ref]``, picked by one int64 pool index per output span:
         ``text`` is one ``pc.take`` over the pool, and ``kind`` and
         ``media_ref`` follow from the same index. The html spans go through
-        ONE kernel call over the Arrow values buffer (the DOM oracle if the
-        native kernel declines, counted in ``native_fallbacks``). Raises
-        OverflowError when the input's span texts, the pool or the output
-        do not fit int32 offsets."""
+        ONE kernel call over the Arrow values buffer, submitted to the
+        kernel thread before the text and media branches run here and
+        awaited after them; its errors surface here, when its result is
+        taken. If the native kernel declines, the DOM twin runs on this
+        thread, counted in ``native_fallbacks``; when the twin is the
+        kernel (no native build), it runs here and no kernel thread
+        starts. Raises OverflowError when the input's span texts, the pool
+        or the output do not fit int32 offsets."""
         spans_col = batch.column("spans")
         nbytes = _text_bytes(spans_col)
         if nbytes > INT32_OFFSET_MAX:
@@ -158,27 +187,20 @@ class ExtractSpansBatch:
         first = np.zeros(flat_n, dtype=np.int64)
         counts = np.zeros(flat_n, dtype=np.int64)
 
-        # html: the kernel's blocks, in span order, are pool entries [0, nb)
-        blocks = b""
-        block_lens = np.zeros(0, dtype=np.int64)
+        # html: the batch's one kernel call starts now on this process's
+        # kernel thread and runs while the text and media branches below run
+        # here; its blocks, in span order, are pool entries [0, nb). The DOM
+        # twin is Python, so it stays on this thread (it would hold the GIL).
         html_offs = np.zeros(1, dtype=np.int64)
-        html_errors = 0
+        pending = None
         if len(html_idx):
             html_texts = text_arr.filter(is_html).cast(pa.binary())
             bufs, aoff = html_texts.buffers(), html_texts.offset
             html_offs = np.frombuffer(bufs[1], np.int32)[aoff : aoff + len(html_idx) + 1]
             html_offs = html_offs.astype(np.int64)
             args = (bufs[2].address, html_offs, int(html_offs[-1]))
-            self._call_errors = 0
-            res = self._html_kernel(*args)
-            if res is None:
-                self.extractor.stats.native_fallbacks += 1
-                res = self._dom_blocks(*args)
-            blocks, block_lens, doc_nblocks = res
-            html_errors = self._call_errors
-            counts[html_idx] = doc_nblocks
-            first[html_idx] = np.cumsum(doc_nblocks) - doc_nblocks
-        nb = len(block_lens)
+            if self._html_kernel != self._dom_blocks:
+                pending = KERNEL_THREAD.submit(_run_kernel, self._html_kernel, html_texts, args)
 
         # text: whitespace-normalized with Arrow kernels (the semantics of
         # html.text.normalize_bytes: collapse WHITESPACE runs to one space,
@@ -196,7 +218,6 @@ class ExtractSpansBatch:
             )
         norm_lens = pc.binary_length(norm).to_numpy(zero_copy_only=False)
         nt = len(norm_lens)
-        first[text_idx] = nb + np.arange(nt)
         counts[text_idx] = norm_lens > 0
 
         # media: one layout JSON per UNIQUE ref of the batch, from one
@@ -210,8 +231,27 @@ class ExtractSpansBatch:
             coded = coded.dictionary_encode()
             refs = coded.dictionary
             ujsons = self.extractor.layout_jsons(refs.to_pylist())
-            first[media_idx] = nb + nt + coded.indices.to_numpy()
             counts[media_idx] = 1
+
+        # the html result: the kernel's (the DOM twin's if it declines,
+        # counted in ``native_fallbacks``), or the twin's when it is the kernel
+        blocks = b""
+        block_lens = np.zeros(0, dtype=np.int64)
+        html_errors = 0
+        if len(html_idx):
+            self._call_errors = 0
+            res = pending.result() if pending is not None else self._html_kernel(*args)
+            if res is None:
+                self.extractor.stats.native_fallbacks += 1
+                res = self._dom_blocks(*args)
+            blocks, block_lens, doc_nblocks = res
+            html_errors = self._call_errors
+            counts[html_idx] = doc_nblocks
+            first[html_idx] = np.cumsum(doc_nblocks) - doc_nblocks
+        nb = len(block_lens)
+        first[text_idx] = nb + np.arange(nt)
+        if len(media_idx):
+            first[media_idx] = nb + nt + coded.indices.to_numpy()
 
         # output slot p of input span j (cum[j] <= p < cum[j + 1]) takes
         # pool entry first[j] + (p - cum[j])
@@ -225,8 +265,7 @@ class ExtractSpansBatch:
         if nbytes > INT32_OFFSET_MAX:
             raise OverflowError(f"{nbytes} pool or output bytes in one batch")
 
-        # the html blocks are wrapped zero-copy (the native kernel's
-        # scratch, reused by its next call): the concat copies them into
+        # the html blocks are wrapped zero-copy: the concat copies them into
         # the pool, and the take copies the pool into the output
         block_offs = np.concatenate([[0], np.cumsum(block_lens)]).astype(np.int32)
         pool = pa.concat_arrays(
